@@ -644,10 +644,15 @@ void BM_Justify(benchmark::State& state) {
 }
 BENCHMARK(BM_Justify);
 
+// Full ATPG on s510, the PODEM-heavy profile of the flow_atpg workload
+// (proven-untestable and aborted faults included), single-threaded.
 void BM_TestGeneration(benchmark::State& state) {
-  const Netlist& nl = circuit("s344");
+  const Netlist& nl = circuit("s510");
+  TpgOptions opts;
+  opts.fault_sim.block_words = 4;
+  opts.fault_sim.num_threads = 1;
   for (auto _ : state) {
-    const TestSet ts = generate_tests(nl);
+    const TestSet ts = generate_tests(nl, opts);
     benchmark::DoNotOptimize(ts.patterns.size());
   }
 }

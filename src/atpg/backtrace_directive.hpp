@@ -33,10 +33,10 @@ class DepthDirective final : public BacktraceDirective {
   GateId choose(const Netlist& nl, GateId /*gate*/,
                 const std::vector<GateId>& candidates,
                 bool /*target_value*/) const override {
+    const auto level = nl.levels_flat();
     GateId best = candidates.front();
     for (GateId c : candidates) {
-      if (nl.level(c) < nl.level(best) ||
-          (nl.level(c) == nl.level(best) && c < best)) {
+      if (level[c] < level[best] || (level[c] == level[best] && c < best)) {
         best = c;
       }
     }

@@ -1,125 +1,70 @@
 #include "atpg/podem.hpp"
 
-#include <algorithm>
-
+#include "atpg/fault_sim.hpp"
 #include "util/assert.hpp"
 
 namespace scanpower {
 
-Podem::Podem(const Netlist& nl, PodemOptions opts) : nl_(&nl), opts_(opts) {
-  SP_CHECK(nl.finalized(), "Podem requires a finalized netlist");
+Podem::Podem(const Netlist& nl, PodemOptions opts)
+    : nl_(&nl), opts_(opts), imp_(nl), observable_(observable_net_mask(nl)) {
   if (!opts_.directive) opts_.directive = &default_directive_;
-  assign_.assign(nl.num_gates(), Logic::X);
-  good_.assign(nl.num_gates(), Logic::X);
-  faulty_.assign(nl.num_gates(), Logic::X);
-}
-
-Logic Podem::faulty_input(GateId gate, std::size_t pin) const {
-  if (gate == fault_.gate && static_cast<int>(pin) == fault_.pin) {
-    return from_bool(fault_.stuck_at);
-  }
-  return faulty_[nl_->fanins(gate)[pin]];
 }
 
 GateId Podem::activation_line() const {
   // Stem fault: the gate's own output line. Pin fault: the driver of the
   // faulted branch must carry the opposite value.
   if (fault_.pin < 0) return fault_.gate;
-  return nl_->fanins(fault_.gate)[static_cast<std::size_t>(fault_.pin)];
-}
-
-void Podem::imply() {
-  const Netlist& nl = *nl_;
-  // Sources.
-  for (GateId pi : nl.inputs()) {
-    good_[pi] = assign_[pi];
-    faulty_[pi] = assign_[pi];
-  }
-  for (GateId ff : nl.dffs()) {
-    good_[ff] = assign_[ff];
-    faulty_[ff] = assign_[ff];
-  }
-  // Stem fault forcing at sources.
-  if (fault_.pin < 0) {
-    const GateType t = nl.type(fault_.gate);
-    if (t == GateType::Input || t == GateType::Dff) {
-      faulty_[fault_.gate] = from_bool(fault_.stuck_at);
-    }
-  }
-  std::vector<Logic> ins;
-  for (GateId id : nl.topo_order()) {
-    const Gate& g = nl.gate(id);
-    ins.clear();
-    for (GateId f : g.fanins) ins.push_back(good_[f]);
-    good_[id] = eval_gate(g.type, ins);
-    ins.clear();
-    for (std::size_t p = 0; p < g.fanins.size(); ++p) {
-      ins.push_back(faulty_input(id, p));
-    }
-    faulty_[id] = eval_gate(g.type, ins);
-    if (fault_.pin < 0 && id == fault_.gate) {
-      faulty_[id] = from_bool(fault_.stuck_at);
-    }
-  }
+  return nl_->fanin_span(fault_.gate)[static_cast<std::size_t>(fault_.pin)];
 }
 
 bool Podem::detected() const {
-  const Netlist& nl = *nl_;
   if (dff_pin_fault_) {
-    const Logic d = good_[nl.fanins(fault_.gate)[0]];
+    const Logic d = imp_.good(nl_->fanin_span(fault_.gate)[0]);
     return is_known(d) && as_bool(d) != fault_.stuck_at;
   }
-  for (GateId po : nl.outputs()) {
-    if (is_known(good_[po]) && is_known(faulty_[po]) &&
-        good_[po] != faulty_[po]) {
-      return true;
-    }
-  }
-  for (GateId dff : nl.dffs()) {
-    const GateId d = nl.fanins(dff)[0];
-    if (is_known(good_[d]) && is_known(faulty_[d]) && good_[d] != faulty_[d]) {
-      return true;
-    }
+  // The two machines can only differ inside the fault cone.
+  for (GateId o : cone_observed_) {
+    const Logic gv = imp_.good(o);
+    const Logic fv = imp_.faulty(o);
+    if (is_known(gv) && is_known(fv) && gv != fv) return true;
   }
   return false;
 }
 
 bool Podem::activation_impossible() const {
-  const Logic v = good_[activation_line()];
+  const Logic v = imp_.good(activation_line());
   return is_known(v) && as_bool(v) == fault_.stuck_at;
 }
 
 bool Podem::activated() const {
-  const Logic v = good_[activation_line()];
+  const Logic v = imp_.good(activation_line());
   return is_known(v) && as_bool(v) != fault_.stuck_at;
 }
 
-std::vector<GateId> Podem::d_frontier() const {
-  const Netlist& nl = *nl_;
-  std::vector<GateId> frontier;
-  for (GateId id : nl.topo_order()) {
+void Podem::compute_d_frontier() {
+  frontier_.clear();
+  for (GateId id : imp_.fault_cone()) {
     // A frontier gate's output cannot yet show the effect, but one of its
     // inputs does.
-    const bool out_open = good_[id] == Logic::X || faulty_[id] == Logic::X;
-    if (!out_open) continue;
-    const Gate& g = nl.gate(id);
-    for (std::size_t p = 0; p < g.fanins.size(); ++p) {
-      const Logic gv = good_[g.fanins[p]];
-      const Logic fv = faulty_input(id, p);
+    if (imp_.good(id) != Logic::X && imp_.faulty(id) != Logic::X) continue;
+    const auto fanins = nl_->fanin_span(id);
+    for (std::size_t p = 0; p < fanins.size(); ++p) {
+      const Logic gv = imp_.good(fanins[p]);
+      const Logic fv = imp_.faulty_input(id, p);
       if (is_known(gv) && is_known(fv) && gv != fv) {
-        frontier.push_back(id);
+        frontier_.push_back(id);
         break;
       }
     }
   }
-  return frontier;
 }
 
-std::optional<std::pair<GateId, bool>> Podem::objective() {
+std::optional<std::pair<GateId, bool>> Podem::objective(
+    std::span<const GateId> frontier) const {
   // Phase 1: excite the fault.
   if (!activated()) {
     const GateId line = activation_line();
-    if (good_[line] != Logic::X) return std::nullopt;  // impossible
+    if (imp_.good(line) != Logic::X) return std::nullopt;  // impossible
     return std::make_pair(line, !fault_.stuck_at);
   }
   if (dff_pin_fault_) return std::nullopt;  // activation == detection here
@@ -128,18 +73,13 @@ std::optional<std::pair<GateId, bool>> Podem::objective() {
   // value must be open (X) and its faulty value must not already be the
   // controlling value (which would block the effect in the faulty
   // machine no matter what we justify).
-  auto frontier = d_frontier();
-  std::sort(frontier.begin(), frontier.end(), [this](GateId a, GateId b) {
-    return nl_->level(a) != nl_->level(b) ? nl_->level(a) > nl_->level(b)
-                                          : a < b;
-  });
   for (GateId g : frontier) {
-    const Gate& gate = nl_->gate(g);
-    const auto cv = controlling_value(gate.type);
-    for (std::size_t p = 0; p < gate.fanins.size(); ++p) {
-      const GateId fin = gate.fanins[p];
-      if (good_[fin] != Logic::X) continue;
-      const Logic fv = faulty_input(g, p);
+    const auto fanins = nl_->fanin_span(g);
+    const auto cv = controlling_value(nl_->types_flat()[g]);
+    for (std::size_t p = 0; p < fanins.size(); ++p) {
+      const GateId fin = fanins[p];
+      if (imp_.good(fin) != Logic::X) continue;
+      const Logic fv = imp_.faulty_input(g, p);
       if (cv && fv == from_bool(*cv)) continue;  // permanently blocked pin
       // Non-controlling value lets the effect pass; for parity-type gates
       // any fixed value works.
@@ -152,10 +92,10 @@ std::optional<std::pair<GateId, bool>> Podem::objective() {
   // source assignment). Stay complete by brute-force extending the
   // assignment: pick any unassigned source feeding the circuit.
   for (GateId pi : nl_->inputs()) {
-    if (assign_[pi] == Logic::X) return std::make_pair(pi, false);
+    if (imp_.good(pi) == Logic::X) return std::make_pair(pi, false);
   }
   for (GateId ff : nl_->dffs()) {
-    if (assign_[ff] == Logic::X) return std::make_pair(ff, false);
+    if (imp_.good(ff) == Logic::X) return std::make_pair(ff, false);
   }
   // Everything assigned and still neither detected nor conflicting: with
   // all sources known every line is known, so the frontier must be empty
@@ -163,25 +103,25 @@ std::optional<std::pair<GateId, bool>> Podem::objective() {
   return std::nullopt;
 }
 
-std::pair<GateId, Logic> Podem::backtrace(GateId node, bool value) const {
+std::pair<GateId, Logic> Podem::backtrace(GateId node, bool value) {
   const Netlist& nl = *nl_;
   GateId cur = node;
   bool v = value;
   for (;;) {
-    const GateType t = nl.type(cur);
+    const GateType t = nl.types_flat()[cur];
     if (t == GateType::Input || t == GateType::Dff) {
       return {cur, from_bool(v)};
     }
     SP_ASSERT(t != GateType::Const0 && t != GateType::Const1,
               "backtrace reached a constant (objective unreachable)");
-    const Gate& g = nl.gate(cur);
+    const auto fanins = nl.fanin_span(cur);
     const bool want = is_inverting(t) ? !v : v;
     // Candidates: fanins still unknown in the good machine.
-    std::vector<GateId> candidates;
-    for (GateId f : g.fanins) {
-      if (good_[f] == Logic::X) candidates.push_back(f);
+    candidates_.clear();
+    for (GateId f : fanins) {
+      if (imp_.good(f) == Logic::X) candidates_.push_back(f);
     }
-    SP_ASSERT(!candidates.empty(), "backtrace on a fully specified gate");
+    SP_ASSERT(!candidates_.empty(), "backtrace on a fully specified gate");
     const auto cv = controlling_value(t);
     bool next_value;
     GateId chosen;
@@ -191,19 +131,19 @@ std::pair<GateId, Logic> Podem::backtrace(GateId node, bool value) const {
       // 'want'==true needs all-1. OR-family dual.
       const bool needs_controlling = (want == (t == GateType::Or || t == GateType::Nor));
       if (needs_controlling) {
-        chosen = opts_.directive->choose(nl, cur, candidates, *cv);
+        chosen = opts_.directive->choose(nl, cur, candidates_, *cv);
         next_value = *cv;
       } else {
-        chosen = opts_.directive->choose(nl, cur, candidates, !*cv);
+        chosen = opts_.directive->choose(nl, cur, candidates_, !*cv);
         next_value = !*cv;
       }
     } else if (t == GateType::Buf || t == GateType::Not) {
-      chosen = g.fanins[0];
+      chosen = fanins[0];
       next_value = want;
     } else {
       // XOR/XNOR/MUX: pick a candidate and aim for `want`; backtracking
       // corrects bad guesses.
-      chosen = opts_.directive->choose(nl, cur, candidates, want);
+      chosen = opts_.directive->choose(nl, cur, candidates_, want);
       next_value = want;
     }
     cur = chosen;
@@ -211,68 +151,80 @@ std::pair<GateId, Logic> Podem::backtrace(GateId node, bool value) const {
   }
 }
 
+void Podem::decide(GateId point, Logic value) {
+  decisions_.push_back({point, value, false, imp_.mark()});
+  imp_.assign(point, value);
+}
+
 bool Podem::backtrack() {
   while (!decisions_.empty()) {
     Decision& d = decisions_.back();
+    imp_.undo(d.mark);
     if (!d.flipped) {
       d.flipped = true;
       d.value = logic_not(d.value);
-      assign_[d.point] = d.value;
+      imp_.assign(d.point, d.value);
       ++backtracks_;
       return true;
     }
-    assign_[d.point] = Logic::X;
     decisions_.pop_back();
   }
   return false;
 }
 
+PodemResult Podem::finish(PodemStatus status) {
+  PodemResult res;
+  res.status = status;
+  res.backtracks = backtracks_;
+  if (status == PodemStatus::Detected) {
+    for (GateId pi : nl_->inputs()) res.pattern.pi.push_back(imp_.good(pi));
+    for (GateId ff : nl_->dffs()) res.pattern.ppi.push_back(imp_.good(ff));
+  }
+  Telemetry* t = opts_.telemetry;
+  SP_TELEM_ADD(t, 0, CounterId::kPodemCalls, 1);
+  SP_TELEM_ADD(t, 0, CounterId::kPodemBacktracks, backtracks_);
+  SP_TELEM_ADD(t, 0,
+               status == PodemStatus::Detected     ? CounterId::kPodemDetected
+               : status == PodemStatus::Untestable ? CounterId::kPodemUntestable
+                                                   : CounterId::kPodemAborted,
+               1);
+  return res;
+}
+
 PodemResult Podem::generate(const Fault& fault) {
-  const Netlist& nl = *nl_;
   fault_ = fault;
-  dff_pin_fault_ = fault.pin >= 0 && nl.type(fault.gate) == GateType::Dff;
-  std::fill(assign_.begin(), assign_.end(), Logic::X);
+  dff_pin_fault_ =
+      fault.pin >= 0 && nl_->types_flat()[fault.gate] == GateType::Dff;
+  imp_.reset(fault);
   decisions_.clear();
   backtracks_ = 0;
+  cone_observed_.clear();
+  for (GateId g : imp_.fault_cone()) {
+    if (observable_[g]) cone_observed_.push_back(g);
+  }
 
-  PodemResult res;
   for (;;) {
-    imply();
-    if (detected()) {
-      res.status = PodemStatus::Detected;
-      res.backtracks = backtracks_;
-      res.pattern.pi.clear();
-      res.pattern.ppi.clear();
-      for (GateId pi : nl.inputs()) res.pattern.pi.push_back(assign_[pi]);
-      for (GateId ff : nl.dffs()) res.pattern.ppi.push_back(assign_[ff]);
-      return res;
+    if (detected()) return finish(PodemStatus::Detected);
+    bool dead = activation_impossible();
+    if (!dead && activated() && !dff_pin_fault_) {
+      compute_d_frontier();
+      dead = frontier_.empty();
     }
-    const bool dead = activation_impossible() ||
-                      (activated() && !dff_pin_fault_ && d_frontier().empty());
     std::optional<std::pair<GateId, bool>> obj;
-    if (!dead) obj = objective();
+    if (!dead) obj = objective(frontier_);
     if (dead || !obj) {
       if (backtracks_ >= opts_.backtrack_limit) {
-        res.status = PodemStatus::Aborted;
-        res.backtracks = backtracks_;
-        return res;
+        return finish(PodemStatus::Aborted);
       }
-      if (!backtrack()) {
-        res.status = PodemStatus::Untestable;
-        res.backtracks = backtracks_;
-        return res;
-      }
+      if (!backtrack()) return finish(PodemStatus::Untestable);
       continue;
     }
     if (backtracks_ >= opts_.backtrack_limit) {
-      res.status = PodemStatus::Aborted;
-      res.backtracks = backtracks_;
-      return res;
+      return finish(PodemStatus::Aborted);
     }
     const auto [point, value] = backtrace(obj->first, obj->second);
-    SP_ASSERT(assign_[point] == Logic::X, "backtrace chose an assigned point");
-    assign_[point] = value;
-    decisions_.push_back({point, value, false});
+    SP_ASSERT(imp_.good(point) == Logic::X, "backtrace chose an assigned point");
+    decide(point, value);
   }
 }
 

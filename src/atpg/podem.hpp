@@ -5,22 +5,33 @@
 // Decisions are made only at controllable points (PIs and DFF outputs),
 // which keeps the search complete: if the decision tree is exhausted the
 // fault is proven untestable (redundant). The backtrace tie-break is
-// pluggable (BacktraceDirective); the same engine powers the paper's
-// Justify() when driven by the leakage-observability directive.
+// pluggable (BacktraceDirective); the same directive seam and the same
+// implication core (ImplicationEngine) power the paper's Justify().
+//
+// Values are implied incrementally: a decision propagates events from the
+// source it assigns, and a backtrack rolls the undo trail back to the
+// decision instead of re-simulating. The D-frontier is searched only in
+// the fanout cone of the fault site, once per search step.
 
 #include <optional>
+#include <span>
 
 #include "atpg/backtrace_directive.hpp"
 #include "atpg/fault.hpp"
+#include "atpg/implication.hpp"
 #include "atpg/pattern.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/logic.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanpower {
 
 struct PodemOptions {
   int backtrack_limit = 4000;
   const BacktraceDirective* directive = nullptr;  ///< default: DepthDirective
+  /// Optional metrics scope (not owned; nullptr = no telemetry): podem.*
+  /// counters, added once per generate() call.
+  Telemetry* telemetry = nullptr;
 };
 
 enum class PodemStatus { Detected, Untestable, Aborted };
@@ -42,21 +53,26 @@ class Podem {
     GateId point;
     Logic value;
     bool flipped;
+    std::size_t mark;  ///< implication trail before the decision
   };
 
-  void imply();
   bool detected() const;
   bool activation_impossible() const;
   bool activated() const;
-  /// Gates that can still propagate the fault effect.
-  std::vector<GateId> d_frontier() const;
+  /// Fills frontier_ with the cone gates that can still propagate the
+  /// fault effect, deepest first (ties by id).
+  void compute_d_frontier();
   /// Objective (line, value) to pursue next; nullopt = dead end.
-  std::optional<std::pair<GateId, bool>> objective();
+  /// `frontier` is this step's D-frontier (read once the fault is
+  /// activated).
+  std::optional<std::pair<GateId, bool>> objective(
+      std::span<const GateId> frontier) const;
   /// Maps an objective to an unassigned controllable point.
-  std::pair<GateId, Logic> backtrace(GateId node, bool value) const;
+  std::pair<GateId, Logic> backtrace(GateId node, bool value);
+  void decide(GateId point, Logic value);
   bool backtrack();  ///< false when the tree is exhausted
+  PodemResult finish(PodemStatus status);
 
-  Logic faulty_input(GateId gate, std::size_t pin) const;
   GateId activation_line() const;
 
   const Netlist* nl_;
@@ -65,9 +81,11 @@ class Podem {
   Fault fault_{};
   bool dff_pin_fault_ = false;
 
-  std::vector<Logic> assign_;  ///< controllable-point assignment (by gate id)
-  std::vector<Logic> good_;
-  std::vector<Logic> faulty_;
+  ImplicationEngine imp_;
+  std::vector<std::uint8_t> observable_;  ///< PO or DFF D driver
+  std::vector<GateId> cone_observed_;     ///< observable gates in the cone
+  std::vector<GateId> frontier_;
+  std::vector<GateId> candidates_;        ///< backtrace scratch
   std::vector<Decision> decisions_;
   int backtracks_ = 0;
 };

@@ -63,6 +63,7 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
   // large fault lists.
   PodemOptions popts;
   popts.backtrack_limit = opts.podem_backtrack_limit;
+  popts.telemetry = opts.fault_sim.telemetry;
   Podem podem(nl, popts);
   std::vector<TestPattern> batch;
   auto flush_batch = [&]() {

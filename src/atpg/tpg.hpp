@@ -21,7 +21,9 @@ struct TpgOptions {
   int unproductive_batch_limit = 2; ///< stop random phase after N dry batches
   int podem_backtrack_limit = 4000;
   bool compact = true;              ///< reverse-order compaction pass
-  FaultSimOptions fault_sim;        ///< packed-block width / worker threads
+  /// Packed-block width / worker threads. Its telemetry scope also
+  /// receives the podem.* counters: one scope per ATPG run.
+  FaultSimOptions fault_sim;
 };
 
 TestSet generate_tests(const Netlist& nl, const TpgOptions& opts = {});

@@ -7,8 +7,10 @@
 // (PI/PO/FF/gate counts) with realistic fanout distribution and logic
 // depth. This substitution is recorded in DESIGN.md: all algorithms
 // consume only the gate-level graph, so matching the structural profile
-// preserves the experiment's shape. Synthetic circuits carry a "*"
-// wherever experiment tables print their names.
+// preserves the experiment's shape. The synthetic circuits are far more
+// redundant than ISCAS89 (14-73% of collapsed faults proven untestable
+// up to s1494, see DESIGN.md). Synthetic circuits carry a "*" wherever
+// experiment tables print their names.
 
 #include <cstdint>
 #include <string>
@@ -32,8 +34,8 @@ struct SynthProfile {
   int num_gates = 100;  ///< combinational gates (inverters included)
   std::uint64_t seed = 1;
   /// Target logic depth (levels). Matches the published circuit's depth;
-  /// keeping it realistic also keeps the fault universe testable (very
-  /// deep random logic over few sources is mostly redundant).
+  /// a realistic depth limits redundancy (very deep random logic over few
+  /// sources is mostly redundant) but does not remove it -- see DESIGN.md.
   int max_depth = 20;
 };
 

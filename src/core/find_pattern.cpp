@@ -61,7 +61,7 @@ FindPatternResult find_controlled_input_pattern(const Netlist& nl,
     obs_directive = std::make_unique<ObservabilityDirective>(*opts.observability);
     directive = obs_directive.get();
   }
-  Justifier justifier(nl, controllable, directive);
+  Justifier justifier(nl, controllable, directive, opts.telemetry);
 
   const std::vector<double> loads = caps.load_vector(nl);
 

@@ -36,6 +36,7 @@
 #include "scan/add_mux.hpp"
 #include "sim/logic.hpp"
 #include "timing/delay_model.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanpower {
 
@@ -48,6 +49,8 @@ struct FindPatternOptions {
   /// Whether primary inputs are controllable (true for both the paper's
   /// method and the input-control baseline).
   bool control_primary_inputs = true;
+  /// Optional metrics scope for the justify.* counters (not owned).
+  Telemetry* telemetry = nullptr;
 };
 
 struct FindPatternResult {

@@ -1,17 +1,16 @@
 #include "core/justify.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace scanpower {
 
 Justifier::Justifier(const Netlist& nl, std::vector<bool> controllable,
-                     const BacktraceDirective* directive)
+                     const BacktraceDirective* directive, Telemetry* telemetry)
     : nl_(&nl),
       controllable_(std::move(controllable)),
-      directive_(directive ? directive : &default_directive_) {
-  SP_CHECK(nl.finalized(), "Justifier requires a finalized netlist");
+      directive_(directive ? directive : &default_directive_),
+      telemetry_(telemetry),
+      imp_(nl) {
   SP_CHECK(controllable_.size() == nl.num_gates(),
            "Justifier: controllable mask size mismatch");
   for (GateId id = 0; id < nl.num_gates(); ++id) {
@@ -22,7 +21,6 @@ Justifier::Justifier(const Netlist& nl, std::vector<bool> controllable,
                  " is not a source");
   }
   assign_.assign(nl.num_gates(), Logic::X);
-  values_.assign(nl.num_gates(), Logic::X);
 
   // can_control: a line is influenceable iff it is a controlled input or
   // any fanin is influenceable (monotone over the topological order).
@@ -31,30 +29,12 @@ Justifier::Justifier(const Netlist& nl, std::vector<bool> controllable,
     if (controllable_[id]) can_control_[id] = true;
   }
   for (GateId id : nl.topo_order()) {
-    for (GateId f : nl.fanins(id)) {
+    for (GateId f : nl.fanin_span(id)) {
       if (can_control_[f]) {
         can_control_[id] = true;
         break;
       }
     }
-  }
-  imply();
-}
-
-void Justifier::imply() {
-  const Netlist& nl = *nl_;
-  for (GateId pi : nl.inputs()) {
-    values_[pi] = controllable_[pi] ? assign_[pi] : Logic::X;
-  }
-  for (GateId ff : nl.dffs()) {
-    values_[ff] = controllable_[ff] ? assign_[ff] : Logic::X;
-  }
-  std::vector<Logic> ins;
-  for (GateId id : nl.topo_order()) {
-    const Gate& g = nl.gate(id);
-    ins.clear();
-    for (GateId f : g.fanins) ins.push_back(values_[f]);
-    values_[id] = eval_gate(g.type, ins);
   }
 }
 
@@ -64,27 +44,28 @@ void Justifier::preset(GateId source, bool value) {
            "preset contradicts an earlier commitment on " +
                nl_->gate_name(source));
   assign_[source] = from_bool(value);
-  imply();
+  imp_.assign(source, from_bool(value));
+  imp_.commit();
 }
 
-std::pair<GateId, Logic> Justifier::backtrace(GateId node, bool value) const {
+std::pair<GateId, Logic> Justifier::backtrace(GateId node, bool value) {
   const Netlist& nl = *nl_;
   GateId cur = node;
   bool v = value;
   for (;;) {
-    const GateType t = nl.type(cur);
+    const GateType t = nl.types_flat()[cur];
     if (controllable_[cur]) return {cur, from_bool(v)};
     if (t == GateType::Input || t == GateType::Dff || !can_control_[cur] ||
         t == GateType::Const0 || t == GateType::Const1) {
       return {kInvalidGate, Logic::X};  // dead end
     }
-    const Gate& g = nl.gate(cur);
+    const auto fanins = nl.fanin_span(cur);
     const bool want = is_inverting(t) ? !v : v;
-    std::vector<GateId> candidates;
-    for (GateId f : g.fanins) {
-      if (values_[f] == Logic::X && can_control_[f]) candidates.push_back(f);
+    candidates_.clear();
+    for (GateId f : fanins) {
+      if (imp_.good(f) == Logic::X && can_control_[f]) candidates_.push_back(f);
     }
-    if (candidates.empty()) return {kInvalidGate, Logic::X};
+    if (candidates_.empty()) return {kInvalidGate, Logic::X};
     const auto cv = controlling_value(t);
     GateId chosen;
     bool next_value;
@@ -92,13 +73,13 @@ std::pair<GateId, Logic> Justifier::backtrace(GateId node, bool value) const {
       const bool needs_controlling =
           (want == (t == GateType::Or || t == GateType::Nor));
       const bool target = needs_controlling ? *cv : !*cv;
-      chosen = directive_->choose(nl, cur, candidates, target);
+      chosen = directive_->choose(nl, cur, candidates_, target);
       next_value = target;
     } else if (t == GateType::Buf || t == GateType::Not) {
-      chosen = g.fanins[0];
+      chosen = fanins[0];
       next_value = want;
     } else {
-      chosen = directive_->choose(nl, cur, candidates, want);
+      chosen = directive_->choose(nl, cur, candidates_, want);
       next_value = want;
     }
     cur = chosen;
@@ -107,63 +88,66 @@ std::pair<GateId, Logic> Justifier::backtrace(GateId node, bool value) const {
 }
 
 bool Justifier::justify(GateId node, bool value, int backtrack_limit) {
+  int backtracks = 0;
+  const bool ok = search(node, value, backtrack_limit, backtracks);
+  SP_TELEM_ADD(telemetry_, 0, CounterId::kJustifyCalls, 1);
+  SP_TELEM_ADD(telemetry_, 0, CounterId::kJustifyBacktracks, backtracks);
+  return ok;
+}
+
+bool Justifier::search(GateId node, bool value, int backtrack_limit,
+                       int& backtracks) {
   const Logic target = from_bool(value);
-  if (values_[node] == target) return true;
-  if (values_[node] != Logic::X) return false;  // contradicts commitments
+  if (imp_.good(node) == target) return true;
+  if (imp_.good(node) != Logic::X) return false;  // contradicts commitments
   if (!can_control_[node]) return false;
 
-  std::vector<Decision> decisions;
-  int backtracks = 0;
-
-  auto rollback_all = [&]() {
-    for (const Decision& d : decisions) assign_[d.point] = Logic::X;
-    decisions.clear();
-    imply();
-  };
+  // The trail is empty between calls, so undoing the first decision of
+  // this call restores exactly the committed state.
+  decisions_.clear();
 
   // Flips the most recent unflipped decision of *this* call; false when
-  // the local decision tree is exhausted (or the budget ran out).
+  // the local decision tree is exhausted (or the budget ran out), with
+  // every assignment of the call rolled back.
   auto backtrack = [&]() -> bool {
-    while (!decisions.empty()) {
-      Decision& d = decisions.back();
+    while (!decisions_.empty()) {
+      Decision& d = decisions_.back();
+      imp_.undo(d.mark);
       if (!d.flipped && backtracks < backtrack_limit) {
         d.flipped = true;
         d.value = logic_not(d.value);
         assign_[d.point] = d.value;
+        imp_.assign(d.point, d.value);
         ++backtracks;
-        imply();
         return true;
       }
       assign_[d.point] = Logic::X;
-      decisions.pop_back();
+      decisions_.pop_back();
     }
     return false;
   };
 
   for (;;) {
-    if (values_[node] == target) return true;  // committed
-    if (values_[node] != Logic::X) {
-      if (!backtrack()) {
-        rollback_all();
-        return false;
-      }
+    if (imp_.good(node) == target) {  // commit
+      imp_.commit();
+      return true;
+    }
+    if (imp_.good(node) != Logic::X) {
+      if (!backtrack()) return false;
       continue;
     }
-    // values_[node] == X: extend the assignment toward the objective.
+    // X: extend the assignment toward the objective.
     const auto [point, pv] = backtrace(node, value);
     if (point == kInvalidGate) {
       // No controllable X line supports the objective from here.
-      if (!backtrack()) {
-        rollback_all();
-        return false;
-      }
+      if (!backtrack()) return false;
       continue;
     }
     SP_ASSERT(assign_[point] == Logic::X,
               "justify backtrace chose an assigned point");
     assign_[point] = pv;
-    decisions.push_back({point, pv, false});
-    imply();
+    decisions_.push_back({point, pv, false, imp_.mark()});
+    imp_.assign(point, pv);
   }
 }
 

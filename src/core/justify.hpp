@@ -12,6 +12,10 @@
 //    its assignments and later calls must respect them. A failed call
 //    rolls back everything it assigned.
 //
+// Values come from the incremental implication core PODEM uses
+// (ImplicationEngine, good machine only): a decision propagates events
+// from its source, and backtracking rolls the undo trail back.
+//
 // The backtrace tie-break is the pluggable BacktraceDirective; the paper
 // drives it with leakage observability so that, of the many blocking
 // vectors, a low-leakage one is found.
@@ -19,17 +23,21 @@
 #include <vector>
 
 #include "atpg/backtrace_directive.hpp"
+#include "atpg/implication.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/logic.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanpower {
 
 class Justifier {
  public:
   /// `controllable[g]` marks gates (must be Input/Dff) whose value the
-  /// scan-mode pattern may fix.
+  /// scan-mode pattern may fix. `telemetry` (optional, not owned) receives
+  /// the justify.* counters, added once per justify() call.
   Justifier(const Netlist& nl, std::vector<bool> controllable,
-            const BacktraceDirective* directive = nullptr);
+            const BacktraceDirective* directive = nullptr,
+            Telemetry* telemetry = nullptr);
 
   /// Attempts to set line `node` to `value`. Commits on success; restores
   /// the previous state on failure. Returns success.
@@ -41,8 +49,8 @@ class Justifier {
 
   /// Current 3-valued circuit values under the committed assignment
   /// (non-controlled sources X).
-  const std::vector<Logic>& values() const { return values_; }
-  Logic value(GateId id) const { return values_[id]; }
+  const std::vector<Logic>& values() const { return imp_.good_values(); }
+  Logic value(GateId id) const { return imp_.good(id); }
 
   /// Committed controlled-input assignment (X = still free).
   const std::vector<Logic>& assignment() const { return assign_; }
@@ -58,18 +66,23 @@ class Justifier {
     GateId point;
     Logic value;
     bool flipped;
+    std::size_t mark;  ///< implication trail before the decision
   };
 
-  void imply();
-  std::pair<GateId, Logic> backtrace(GateId node, bool value) const;
+  std::pair<GateId, Logic> backtrace(GateId node, bool value);
+  /// justify()'s decision search; adds its flips to `backtracks`.
+  bool search(GateId node, bool value, int backtrack_limit, int& backtracks);
 
   const Netlist* nl_;
   std::vector<bool> controllable_;
   std::vector<bool> can_control_;
   DepthDirective default_directive_;
   const BacktraceDirective* directive_;
+  Telemetry* telemetry_;
   std::vector<Logic> assign_;
-  std::vector<Logic> values_;
+  ImplicationEngine imp_;
+  std::vector<Decision> decisions_;   ///< open decisions of one justify()
+  std::vector<GateId> candidates_;    ///< backtrace scratch
 };
 
 }  // namespace scanpower

@@ -457,6 +457,7 @@ ScanPowerResult ScanSession::run_proposed(const TestSet& tests,
   fopts.observability =
       opts_.use_observability_directive ? &observability().values() : nullptr;
   fopts.justify_backtrack_limit = opts_.justify_backtrack_limit;
+  fopts.telemetry = &telemetry_;
   FindPatternResult pat = find_controlled_input_pattern(nl(), plan, caps, fopts);
 
   // --- don't-care filling ------------------------------------------------
@@ -526,6 +527,7 @@ FlowResult ScanSession::run_flow() {
     FindPatternOptions fopts;
     fopts.observability = nullptr;  // undirected
     fopts.justify_backtrack_limit = opts_.justify_backtrack_limit;
+    fopts.telemetry = &telemetry_;
     FindPatternResult pat =
         find_controlled_input_pattern(nl(), no_mux, caps, fopts);
     FillOptions fill_opts = opts_.fill;

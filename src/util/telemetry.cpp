@@ -19,6 +19,13 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "fault_sim.runs",
     "fault_sim.blocks",
     "fault_sim.detected",
+    "podem.calls",
+    "podem.backtracks",
+    "podem.detected",
+    "podem.untestable",
+    "podem.aborted",
+    "justify.calls",
+    "justify.backtracks",
     "backend.blocks_scalar",
     "backend.blocks_avx2",
     "backend.blocks_avx512",

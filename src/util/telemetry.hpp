@@ -55,6 +55,16 @@ enum class CounterId : int {
   kFaultSimRuns,
   kFaultSimBlocks,
   kFaultSimDetected,   ///< faults detected and dropped (semantic)
+  // PODEM test generation and Justify(), added once per call. justify.*
+  // is semantic; podem.* follows the TestSet, which depends on
+  // block_words, so it is invariant across thread counts only.
+  kPodemCalls,
+  kPodemBacktracks,
+  kPodemDetected,
+  kPodemUntestable,
+  kPodemAborted,
+  kJustifyCalls,
+  kJustifyBacktracks,
   // kernel-backend attribution: fault-sim blocks swept per backend (work
   // counters; which one advances depends on the resolved backend)
   kBackendBlocksScalar,

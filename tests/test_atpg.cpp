@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "../bench/bench_common.hpp"
 #include "util/assert.hpp"
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
@@ -11,9 +12,11 @@
 #include "atpg/tpg.hpp"
 #include "benchgen/benchgen.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/stats.hpp"
 #include "sim/simulator.hpp"
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace scanpower {
 namespace {
@@ -423,6 +426,172 @@ TEST(Tpg, WorksOnUnmappedCircuits) {
   const TestSet ts = generate_tests(nl);
   EXPECT_GT(ts.fault_coverage(), 0.9);
   EXPECT_EQ(ts.aborted_faults, 0u);
+}
+
+}  // namespace
+}  // namespace scanpower
+
+// ---------- golden hashes -------------------------------------------------------
+//
+// The implication core behind PODEM and Justify must never change a
+// decision: every per-fault PodemResult, every generated TestSet and every
+// FindControlledInputPattern result stays byte-identical to the engine
+// that re-simulated the whole netlist after each decision. The hashes
+// below were recorded with that full-resimulation engine.
+
+namespace scanpower {
+namespace {
+
+/// FNV-1a over a stream of fields.
+struct GoldenHasher {
+  std::uint64_t h = 14695981039346656037ULL;
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void str(const std::string& s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
+  }
+};
+
+Netlist golden_circuit(const std::string& name) {
+  return name == "s27" ? map_to_nand_nor_inv(make_s27())
+                       : benchtool::prepare_circuit(name);
+}
+
+/// The budgets table1_power runs each circuit at.
+FlowOptions golden_options(const Netlist& nl) {
+  return benchtool::tuned_options(compute_stats(nl).num_comb_gates);
+}
+
+/// Per-fault PODEM results at the tuned backtrack limit: every collapsed
+/// fault up to s510, a fixed-stride sample of at most 300 faults above.
+std::uint64_t podem_golden_hash(const std::string& name) {
+  const Netlist nl = golden_circuit(name);
+  const std::vector<Fault> faults = collapse_faults(nl);
+  PodemOptions popts;
+  popts.backtrack_limit = golden_options(nl).tpg.podem_backtrack_limit;
+  Podem podem(nl, popts);
+  static const std::size_t s510_gates = golden_circuit("s510").num_gates();
+  const std::size_t stride =
+      nl.num_gates() > s510_gates ? (faults.size() + 299) / 300 : 1;
+  GoldenHasher h;
+  for (std::size_t i = 0; i < faults.size(); i += stride) {
+    const PodemResult r = podem.generate(faults[i]);
+    h.u64(static_cast<std::uint64_t>(r.status));
+    h.u64(static_cast<std::uint64_t>(r.backtracks));
+    h.str(r.pattern.to_string());
+  }
+  return h.h;
+}
+
+std::uint64_t test_set_golden_hash(const TestSet& ts) {
+  GoldenHasher h;
+  h.u64(ts.total_faults);
+  h.u64(ts.detected_faults);
+  h.u64(ts.untestable_faults);
+  h.u64(ts.aborted_faults);
+  for (const TestPattern& p : ts.patterns) h.str(p.to_string());
+  return h.h;
+}
+
+/// FindControlledInputPattern in both Table-I configurations: input
+/// control (no muxes, depth directive) and the proposed structure (AddMUX
+/// plan, leakage-observability directive).
+std::uint64_t justify_golden_hash(const std::string& name) {
+  const Netlist nl = golden_circuit(name);
+  ScanSession session(nl, golden_options(nl));
+  const FlowOptions& o = session.options();
+  const CapacitanceModel& caps = o.delay.caps();
+  GoldenHasher h;
+  auto add = [&](const FindPatternResult& r) {
+    h.str(logic_string(r.pi_pattern));
+    h.str(logic_string(r.mux_pattern));
+    h.u64(r.gates_blocked);
+    h.u64(r.gates_propagated);
+  };
+  MuxPlan no_mux;
+  no_mux.multiplexed.assign(nl.dffs().size(), false);
+  FindPatternOptions undirected;
+  undirected.justify_backtrack_limit = o.justify_backtrack_limit;
+  add(find_controlled_input_pattern(nl, no_mux, caps, undirected));
+  FindPatternOptions directed = undirected;
+  directed.observability = &session.observability().values();
+  add(find_controlled_input_pattern(nl, plan_muxes(nl, o.delay, o.mux), caps,
+                                    directed));
+  return h.h;
+}
+
+std::string hex64(std::uint64_t v) {
+  return strprintf("0x%016llx", static_cast<unsigned long long>(v));
+}
+
+struct Golden {
+  const char* circuit;
+  std::uint64_t hash;
+};
+
+TEST(GoldenHash, PodemPerFaultResults) {
+  const Golden expected[] = {
+      {"s27", 0xce6f0488719147f0ULL},
+      {"s344", 0x864f987c5f8b7150ULL},
+      {"s382", 0x4a31cd04e46b54b4ULL},
+      {"s444", 0xcee8657a21f18a7eULL},
+      {"s510", 0x9a401bbf77067c3dULL},
+      {"s641", 0x9d7e9a49b04759beULL},
+      {"s713", 0x2f1ae9f5be146619ULL},
+      {"s1196", 0xdd4ec6a74ecc8ebaULL},
+      {"s1238", 0xbb34bf52e79107d8ULL},
+      {"s1423", 0xc388020e1694df4cULL},
+      {"s1494", 0xa5f2182c9b58bc99ULL},
+      {"s5378", 0x9a3ebdb916f81c69ULL},
+      {"s9234", 0x55f7e4b4b799987fULL},
+  };
+  for (const Golden& g : expected) {
+    EXPECT_EQ(hex64(podem_golden_hash(g.circuit)), hex64(g.hash)) << g.circuit;
+  }
+}
+
+TEST(GoldenHash, GeneratedTestSets) {
+  const Golden expected[] = {
+      {"s344", 0x3444dc9ee7840cd4ULL},
+      {"s382", 0x932fa83305577065ULL},
+      {"s444", 0xe6f3436970ec46c3ULL},
+      {"s510", 0x5f648874dcb95979ULL},
+  };
+  for (const Golden& g : expected) {
+    const Netlist nl = golden_circuit(g.circuit);
+    const TestSet ts = generate_tests(nl, golden_options(nl).tpg);
+    EXPECT_EQ(hex64(test_set_golden_hash(ts)), hex64(g.hash)) << g.circuit;
+  }
+}
+
+TEST(GoldenHash, FindControlledInputPattern) {
+  // Every profile runs both configurations in well under a second.
+  const Golden expected[] = {
+      {"s27", 0x7c8891dde48ea42cULL},
+      {"s344", 0xc8b820afccdfe2e8ULL},
+      {"s382", 0x410437ae0d4c42c8ULL},
+      {"s444", 0x378d8c339809b2e3ULL},
+      {"s510", 0x441f474d68240246ULL},
+      {"s641", 0xe77bb79af650fbe6ULL},
+      {"s713", 0x11fa066cd1af2e0dULL},
+      {"s1196", 0x8842b80bcd629016ULL},
+      {"s1238", 0x8766173cc5bbe8c4ULL},
+      {"s1423", 0xdbafa5d1a63b6c61ULL},
+      {"s1494", 0xa3263c31412dd5a6ULL},
+      {"s5378", 0x5373212b056e6d59ULL},
+      {"s9234", 0x779bbbe82a2cb647ULL},
+  };
+  for (const Golden& g : expected) {
+    EXPECT_EQ(hex64(justify_golden_hash(g.circuit)), hex64(g.hash))
+        << g.circuit;
+  }
 }
 
 }  // namespace

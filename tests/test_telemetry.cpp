@@ -13,6 +13,12 @@
 //  4. Tracing -- spans nest correctly per shard, the Chrome trace_event
 //     export is well-formed JSON, and enabling telemetry never perturbs
 //     rankings (byte-identical with a scope attached vs nullptr).
+//  5. Test generation -- the podem.* counters equal the TestSet's
+//     outcome tallies in every (block_words, num_threads) configuration;
+//     they are invariant across thread counts (the TestSet itself depends
+//     on block_words), justify.* across every configuration; attaching a
+//     scope never changes a TestSet or a FindControlledInputPattern
+//     result.
 //
 // Every test compiles (and passes, mostly as skips or zero-checks) under
 // -DSCANPOWER_TELEMETRY=OFF -- that build's whole point is that this API
@@ -25,7 +31,9 @@
 #include <vector>
 
 #include "atpg/fault.hpp"
+#include "atpg/tpg.hpp"
 #include "benchgen/benchgen.hpp"
+#include "core/find_pattern.hpp"
 #include "core/session.hpp"
 #include "diag/diagnose.hpp"
 #include "diag/response.hpp"
@@ -409,6 +417,110 @@ TEST(TelemetryNeutralityTest, RankingsIdenticalWithAndWithoutScope) {
     EXPECT_EQ(r_off.stats.sweep_calls, r_on.stats.sweep_calls);
     EXPECT_GT(telem.metrics.snapshot().counter(CounterId::kDiagQueries), 0u);
     EXPECT_FALSE(telem.trace.events().empty());
+  }
+}
+
+// ---------- PODEM / justify counters ------------------------------------------
+
+const CounterId kTpgCounters[] = {
+    CounterId::kPodemCalls,     CounterId::kPodemBacktracks,
+    CounterId::kPodemDetected,  CounterId::kPodemUntestable,
+    CounterId::kPodemAborted,   CounterId::kJustifyCalls,
+    CounterId::kJustifyBacktracks,
+};
+
+/// A tight PODEM budget so s344 ends with all three outcomes.
+FlowOptions tpg_counter_options(int block_words, int num_threads) {
+  FlowOptions opts;
+  opts.tpg.podem_backtrack_limit = 3;
+  opts.tpg.fault_sim.block_words = block_words;
+  opts.tpg.fault_sim.num_threads = num_threads;
+  opts.observability.block_words = block_words;
+  opts.observability.num_threads = num_threads;
+  return opts;
+}
+
+TEST(TelemetryTpgCountersTest, PodemCountersMatchTestSetAcrossConfigs) {
+  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
+  struct Cfg { int w, t; };
+  const Cfg cfgs[] = {{1, 1}, {1, 4}, {4, 1}, {4, 4}};
+  std::vector<MetricsSnapshot> snaps;
+  for (const Cfg& c : cfgs) {
+    ScanSession session(Netlist(nl), tpg_counter_options(c.w, c.t));
+    session.run_flow();
+    const TestSet& ts = session.tests();
+    const MetricsSnapshot m = session.metrics();
+    const std::string cfg =
+        "(" + std::to_string(c.w) + "," + std::to_string(c.t) + ")";
+    EXPECT_EQ(m.counter(CounterId::kPodemUntestable), ts.untestable_faults)
+        << cfg;
+    EXPECT_EQ(m.counter(CounterId::kPodemAborted), ts.aborted_faults) << cfg;
+    EXPECT_EQ(m.counter(CounterId::kPodemCalls),
+              m.counter(CounterId::kPodemDetected) + ts.untestable_faults +
+                  ts.aborted_faults)
+        << cfg;
+    EXPECT_GT(m.counter(CounterId::kPodemDetected), 0u) << cfg;
+    EXPECT_GT(ts.untestable_faults, 0u) << cfg;
+    EXPECT_GT(ts.aborted_faults, 0u) << cfg;
+    EXPECT_GT(m.counter(CounterId::kPodemBacktracks), 0u) << cfg;
+    EXPECT_GT(m.counter(CounterId::kJustifyCalls), 0u) << cfg;
+    snaps.push_back(m);
+  }
+  // generate_tests sizes its random and PODEM batches to one packed block,
+  // so the TestSet -- and with it which faults reach PODEM -- depends on
+  // block_words by design. podem.* is therefore invariant across thread
+  // counts at fixed block_words; justify.* runs after ATPG on a test-set
+  // independent netlist walk and is invariant everywhere.
+  const std::pair<std::size_t, std::size_t> same_w[] = {{0, 1}, {2, 3}};
+  for (const auto& [a, b] : same_w) {
+    for (const CounterId id : kTpgCounters) {
+      EXPECT_EQ(snaps[a].counter(id), snaps[b].counter(id))
+          << counter_name(id) << " differs across threads at W=" << cfgs[a].w;
+    }
+  }
+  for (std::size_t i = 1; i < snaps.size(); ++i) {
+    for (const CounterId id :
+         {CounterId::kJustifyCalls, CounterId::kJustifyBacktracks}) {
+      EXPECT_EQ(snaps[0].counter(id), snaps[i].counter(id))
+          << counter_name(id) << " differs at config (" << cfgs[i].w << ","
+          << cfgs[i].t << ")";
+    }
+  }
+}
+
+TEST(TelemetryNeutralityTest, TestSetsAndPatternsIdenticalWithAndWithoutScope) {
+  const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
+  TpgOptions off = tpg_counter_options(4, 1).tpg;
+  off.fault_sim.telemetry = nullptr;
+  Telemetry telem;
+  TpgOptions on = off;
+  on.fault_sim.telemetry = &telem;
+  const TestSet ts_off = generate_tests(nl, off);
+  const TestSet ts_on = generate_tests(nl, on);
+  ASSERT_EQ(ts_off.patterns, ts_on.patterns);
+  EXPECT_EQ(ts_off.untestable_faults, ts_on.untestable_faults);
+  EXPECT_EQ(ts_off.aborted_faults, ts_on.aborted_faults);
+
+  MuxPlan no_mux;
+  no_mux.multiplexed.assign(nl.dffs().size(), false);
+  const CapacitanceModel caps;
+  FindPatternOptions fp_off;
+  FindPatternOptions fp_on;
+  fp_on.telemetry = &telem;
+  const FindPatternResult p_off =
+      find_controlled_input_pattern(nl, no_mux, caps, fp_off);
+  const FindPatternResult p_on =
+      find_controlled_input_pattern(nl, no_mux, caps, fp_on);
+  EXPECT_EQ(p_off.pi_pattern, p_on.pi_pattern);
+  EXPECT_EQ(p_off.implied_values, p_on.implied_values);
+  EXPECT_EQ(p_off.gates_blocked, p_on.gates_blocked);
+
+  if (kTelemetryEnabled) {
+    const MetricsSnapshot m = telem.metrics.snapshot();
+    EXPECT_EQ(m.counter(CounterId::kPodemUntestable), ts_on.untestable_faults);
+    EXPECT_EQ(m.counter(CounterId::kPodemAborted), ts_on.aborted_faults);
+    EXPECT_GT(m.counter(CounterId::kJustifyCalls), 0u);
   }
 }
 
