@@ -658,6 +658,40 @@ void BM_TestGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TestGeneration)->Unit(benchmark::kMillisecond);
 
+// One scan-power column on the s5378-like profile with 16 seeded random
+// patterns, evaluator construction included (the flow builds one per
+// column). Arg 0 is the traditional-scan column; arg 1 the PI + mux
+// controlled column (random PI constants, every second cell multiplexed).
+// Items are observed shift cycles.
+void BM_ScanPowerEval(benchmark::State& state) {
+  const Netlist& nl = circuit("s5378");
+  const LeakageModel model;
+  const CapacitanceModel caps;
+  Rng rng(16);
+  TestSet ts;
+  for (int i = 0; i < 16; ++i) ts.patterns.push_back(random_pattern(nl, rng));
+  std::vector<Logic> pi;
+  std::vector<Logic> mux;
+  if (state.range(0) != 0) {
+    for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+      pi.push_back(from_bool(rng.next_bool()));
+    }
+    for (std::size_t i = 0; i < nl.dffs().size(); ++i) {
+      mux.push_back(i % 2 == 0 ? from_bool(rng.next_bool()) : Logic::X);
+    }
+  }
+  std::size_t cycles = 0;
+  for (auto _ : state) {
+    ScanPowerEvaluator eval(nl, model, caps);
+    const ScanPowerResult r = eval.evaluate(ts, pi, mux);
+    cycles = r.cycles;
+    benchmark::DoNotOptimize(r.dynamic_per_hz_uw);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(cycles));
+}
+BENCHMARK(BM_ScanPowerEval)->Unit(benchmark::kMillisecond)->Arg(0)->Arg(1);
+
 // Saturation benchmark for the diagnosis service stack: N client threads
 // hammer M designs with failure logs, closed-loop (one outstanding
 // request per client). Args are (warm, clients, designs):

@@ -30,7 +30,6 @@
 #include "netlist/netlist.hpp"
 #include "netlist/stats.hpp"
 #include "power/observability.hpp"
-#include "power/power_est.hpp"
 #include "scan/scan_sim.hpp"
 #include "timing/delay_model.hpp"
 

@@ -432,9 +432,19 @@ FillResult ScanSession::fill(std::vector<Logic>& pi_pattern,
 ScanPowerResult ScanSession::power_report(const TestSet& tests,
                                           std::span<const Logic> pi_control,
                                           std::span<const Logic> mux_control) {
-  ScanPowerEvaluator eval(nl(), leakage_model(), opts_.delay.caps(), opts_.power);
-  return eval.evaluate(capped_tests(tests, opts_.max_power_patterns),
-                       pi_control, mux_control, opts_.scan);
+  return evaluate_power(nl(), capped_tests(tests, opts_.max_power_patterns),
+                        pi_control, mux_control);
+}
+
+ScanPowerResult ScanSession::evaluate_power(
+    const Netlist& n, const TestSet& tests, std::span<const Logic> pi_control,
+    std::span<const Logic> mux_control) {
+  ScanPowerEvaluator eval(n, leakage_model(), opts_.delay.caps(), opts_.power);
+  const ScanPowerResult r =
+      eval.evaluate(tests, pi_control, mux_control, opts_.scan);
+  telemetry_.metrics.add(0, CounterId::kPowerEvalCalls);
+  telemetry_.metrics.add(0, CounterId::kPowerEvalCycles, r.cycles);
+  return r;
 }
 
 ScanPowerResult ScanSession::power_report() { return power_report(tests()); }
@@ -482,10 +492,9 @@ ScanPowerResult ScanSession::run_proposed(const TestSet& tests,
   }
 
   // --- evaluation ---------------------------------------------------------
-  ScanPowerEvaluator eval(tuned, leakage_model(), caps, opts_.power);
-  const TestSet eval_tests = capped_tests(tests, opts_.max_power_patterns);
   const ScanPowerResult power =
-      eval.evaluate(eval_tests, pat.pi_pattern, pat.mux_pattern, opts_.scan);
+      evaluate_power(tuned, capped_tests(tests, opts_.max_power_patterns),
+                     pat.pi_pattern, pat.mux_pattern);
 
   if (details) {
     details->mux_plan = plan;
@@ -515,10 +524,7 @@ FlowResult ScanSession::run_flow() {
       capped_tests(shared_tests, opts_.max_power_patterns);
 
   // --- traditional scan -------------------------------------------------
-  {
-    ScanPowerEvaluator eval(nl(), leakage_model(), caps, opts_.power);
-    res.traditional = eval.evaluate(eval_tests, {}, {}, opts_.scan);
-  }
+  res.traditional = evaluate_power(nl(), eval_tests, {}, {});
 
   // --- input control [8] --------------------------------------------------
   {
@@ -538,9 +544,7 @@ FlowResult ScanSession::run_flow() {
     }
     fill_dont_cares_min_leakage(nl(), leakage_model(), pat.pi_pattern, pat.mux_pattern,
                                 no_mux.multiplexed, fill_opts);
-    ScanPowerEvaluator eval(nl(), leakage_model(), caps, opts_.power);
-    res.input_control =
-        eval.evaluate(eval_tests, pat.pi_pattern, {}, opts_.scan);
+    res.input_control = evaluate_power(nl(), eval_tests, pat.pi_pattern, {});
   }
 
   // --- proposed ------------------------------------------------------------

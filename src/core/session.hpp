@@ -190,6 +190,11 @@ class ScanSession {
                                FlowResult* details = nullptr);
 
  private:
+  /// One scan-power evaluation of `tests` on `n` (the session netlist or
+  /// a pin-reordered copy); feeds the power_eval.* counters.
+  ScanPowerResult evaluate_power(const Netlist& n, const TestSet& tests,
+                                 std::span<const Logic> pi_control,
+                                 std::span<const Logic> mux_control);
   /// (X-mask plan, expected signatures, synthetic tester) of one MISR
   /// configuration over the bound pattern set.
   ObservationConeCache& cones();

@@ -88,7 +88,7 @@ class TernaryBlockSimulator {
 /// bit-identical to the scalar walk.
 class PackedLeakageEvaluator {
  public:
-  /// `backend` steers the table-gather kernel of the 2-valued eval (the
+  /// `backend` steers the table-gather kernel of both evals (the
   /// evaluator is width-agnostic, so resolution happens per eval() call
   /// against the simulator's width).
   PackedLeakageEvaluator(const Netlist& nl, const GateLeakageTables& tables,

@@ -1,13 +1,13 @@
 #pragma once
-// Test-per-scan shift-power simulation.
+// Test-per-scan shift-power evaluation.
 //
 // Protocol (full scan, one chain, no reordering -- as in the paper's
 // experiments): for each test vector, L shift cycles move the stimulus in
-// while the previous response moves out; one capture cycle follows. The
-// combinational part is re-evaluated at every shift cycle and fed to a
-// PowerEstimator, yielding exactly the two Table-I quantities: dynamic
-// power per Hz and static (leakage) power, both for the combinational
-// logic.
+// while the previous response moves out; one capture cycle follows. Every
+// observed cycle's settled circuit state contributes to exactly the two
+// Table-I quantities: dynamic power per Hz (toggled load capacitance
+// between consecutive observed cycles, eq. (1)) and static power (the
+// cycle's total leakage), both for the combinational logic.
 //
 // Scan-mode input control is expressed per method:
 //  - traditional scan  : PIs hold the previous test's values; every cell's
@@ -16,18 +16,33 @@
 //    shift; cells drive the logic directly.
 //  - proposed          : PIs driven with the found pattern AND muxed cells
 //    present constants to the logic during shift.
+//
+// Evaluation is packed: each lane of a 3-valued block sweep is one
+// observed clock cycle. Every source value of a cycle has a closed form
+// (the PI control value or the previous test's PI; the mux constant or
+// the chain bit, which is a bit of the current test, of the previous
+// test's captured response, or of the initial chain state), so cycles
+// need no sequential simulation. Toggles between consecutive cycles are
+// neighbour-lane masks; per-cycle sums and the reduction over cycles run
+// in the order a cycle-by-cycle scalar loop would use, which makes every
+// result field reproducible bit for bit.
 
-#include <functional>
 #include <span>
+#include <vector>
 
 #include "atpg/pattern.hpp"
 #include "netlist/netlist.hpp"
-#include "power/power_est.hpp"
+#include "power/leakage_model.hpp"
 #include "scan/add_mux.hpp"
 #include "scan/reorder.hpp"
 #include "sim/logic.hpp"
+#include "timing/delay_model.hpp"
 
 namespace scanpower {
+
+struct PowerConfig {
+  double vdd = 0.9;  ///< supply voltage (paper: 45 nm at 0.9 V)
+};
 
 struct ScanPowerResult {
   double dynamic_per_hz_uw = 0.0;  ///< multiply by f for absolute power
@@ -54,25 +69,14 @@ struct ScanSimOptions {
   /// for ceil(L / num_chains) cycles per pattern, shorter chains padded
   /// with leading zero bits. 1 = the paper's single-chain setup.
   int num_chains = 1;
-  /// Optional per-cycle observer (waveform dumps, custom metrics): called
-  /// with the cycle index and the settled value vector for every observed
-  /// cycle. Not part of the power accounting.
-  std::function<void(std::size_t cycle, std::span<const Logic> values)>
-      cycle_observer;
 };
-
-/// Pure chain-register model of the multi-chain shift protocol: starting
-/// from `initial`, shifts `ppi` (cell-indexed, remapped through `order`)
-/// into `num_chains` parallel chains for ceil(L/num_chains) cycles and
-/// returns the final position-indexed chain state. Exposed for protocol
-/// tests; the power evaluator follows exactly this sequence.
-std::vector<Logic> simulate_chain_loading(const ScanChainOrder& order,
-                                          std::span<const Logic> ppi,
-                                          int num_chains,
-                                          Logic initial = Logic::Zero);
 
 class ScanPowerEvaluator {
  public:
+  /// Block width of every packed sweep: 64 * kBlockWords observed cycles
+  /// (or captured patterns) per sweep.
+  static constexpr int kBlockWords = 4;
+
   ScanPowerEvaluator(const Netlist& nl, const LeakageModel& leakage,
                      const CapacitanceModel& caps, PowerConfig config = {});
 
@@ -89,9 +93,9 @@ class ScanPowerEvaluator {
 
  private:
   const Netlist* nl_;
-  const LeakageModel* leakage_;
-  const CapacitanceModel* caps_;
   PowerConfig config_;
+  GateLeakageTables tables_;
+  std::vector<double> loads_;  ///< per-gate toggle weight (fF)
 };
 
 }  // namespace scanpower

@@ -8,8 +8,8 @@
 //   vcd.finish();
 //
 // Signals are 1-bit scalars named after their nets; X maps to VCD 'x'.
-// The scan evaluator exposes a per-cycle observer (ScanSimOptions) that
-// plugs straight into sample().
+// Any per-cycle stream of settled value vectors (a scalar Simulator loop,
+// one cycle per call) plugs straight into sample().
 
 #include <iosfwd>
 #include <span>

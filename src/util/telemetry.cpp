@@ -26,6 +26,8 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "podem.aborted",
     "justify.calls",
     "justify.backtracks",
+    "power_eval.calls",
+    "power_eval.cycles",
     "backend.blocks_scalar",
     "backend.blocks_avx2",
     "backend.blocks_avx512",

@@ -65,6 +65,9 @@ enum class CounterId : int {
   kPodemAborted,
   kJustifyCalls,
   kJustifyBacktracks,
+  // scan-shift power evaluation, added once per evaluate() call (semantic)
+  kPowerEvalCalls,
+  kPowerEvalCycles,    ///< observed clock cycles evaluated
   // kernel-backend attribution: fault-sim blocks swept per backend (work
   // counters; which one advances depends on the resolved backend)
   kBackendBlocksScalar,

@@ -1,5 +1,5 @@
 // Tests for the auxiliary I/O paths: test-set files, VCD dumps and the
-// scan evaluator's per-cycle observer hook.
+// scalar scan-power oracle's per-cycle observer hook.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "atpg/pattern.hpp"
 #include "atpg/tpg.hpp"
 #include "benchgen/benchgen.hpp"
+#include "oracle/scan_power_oracle.hpp"
 #include "scan/scan_sim.hpp"
 #include "sim/vcd.hpp"
 #include "techmap/techmap.hpp"
@@ -100,16 +101,16 @@ TEST(CycleObserver, CalledOncePerObservedCycle) {
   Rng rng(99);
   TestSet ts;
   for (int i = 0; i < 3; ++i) ts.patterns.push_back(random_pattern(nl, rng));
-  ScanPowerEvaluator eval(nl, leak, caps);
+  oracle::ScanPowerOracle eval(nl, leak, caps);
   std::size_t calls = 0;
   std::size_t last_cycle = 0;
-  ScanSimOptions so;
-  so.cycle_observer = [&](std::size_t cycle, std::span<const Logic> values) {
+  const oracle::CycleObserver observer = [&](std::size_t cycle,
+                                             std::span<const Logic> values) {
     EXPECT_EQ(values.size(), nl.num_gates());
     last_cycle = cycle;
     ++calls;
   };
-  const ScanPowerResult r = eval.evaluate(ts, {}, {}, so);
+  const ScanPowerResult r = eval.evaluate(ts, {}, {}, {}, observer);
   EXPECT_EQ(calls, r.cycles);
   EXPECT_EQ(last_cycle + 1, r.cycles);
 }
@@ -123,12 +124,12 @@ TEST(CycleObserver, DrivesVcdDump) {
   for (int i = 0; i < 2; ++i) ts.patterns.push_back(random_pattern(nl, rng));
   std::ostringstream out;
   VcdWriter vcd(out, nl, "scan");
-  ScanSimOptions so;
-  so.cycle_observer = [&](std::size_t cycle, std::span<const Logic> values) {
+  const oracle::CycleObserver observer = [&](std::size_t cycle,
+                                             std::span<const Logic> values) {
     vcd.sample(cycle, values);
   };
-  ScanPowerEvaluator eval(nl, leak, caps);
-  eval.evaluate(ts, {}, {}, so);
+  oracle::ScanPowerOracle eval(nl, leak, caps);
+  eval.evaluate(ts, {}, {}, {}, observer);
   EXPECT_GT(vcd.changes_written(), nl.num_gates());  // initial dump + activity
   EXPECT_NE(out.str().find("$dumpvars"), std::string::npos);
 }

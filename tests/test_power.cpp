@@ -4,9 +4,9 @@
 
 #include "benchgen/benchgen.hpp"
 #include "netlist/builder.hpp"
+#include "oracle/scan_power_oracle.hpp"
 #include "power/leakage_model.hpp"
 #include "power/observability.hpp"
-#include "power/power_est.hpp"
 #include "sim/simulator.hpp"
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
@@ -147,13 +147,13 @@ TEST(Leakage, CompositeGatesEstimated) {
   EXPECT_GT(model.cell_leakage_na(GateType::Mux, 3, 0b000), 0.0);
 }
 
-// ---------- power estimator -------------------------------------------------
+// ---------- power estimator (scalar oracle) ----------------------------------
 
 TEST(PowerEstimator, StaticAveragesLeakageOverCycles) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
   const LeakageModel leakage;
   const CapacitanceModel caps;
-  PowerEstimator est(nl, leakage, caps);
+  oracle::PowerEstimator est(nl, leakage, caps);
   Simulator sim(nl);
   double manual = 0;
   int cycles = 0;
@@ -175,7 +175,7 @@ TEST(PowerEstimator, DynamicZeroWhenNothingToggles) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
   const LeakageModel leakage;
   const CapacitanceModel caps;
-  PowerEstimator est(nl, leakage, caps);
+  oracle::PowerEstimator est(nl, leakage, caps);
   Simulator sim(nl);
   for (GateId pi : nl.inputs()) sim.set_input(pi, Logic::Zero);
   for (GateId ff : nl.dffs()) sim.set_state(ff, Logic::Zero);
@@ -191,8 +191,8 @@ TEST(PowerEstimator, DynamicScalesWithVddSquared) {
   const CapacitanceModel caps;
   PowerConfig low{0.9};
   PowerConfig high{1.8};
-  PowerEstimator e1(nl, leakage, caps, low);
-  PowerEstimator e2(nl, leakage, caps, high);
+  oracle::PowerEstimator e1(nl, leakage, caps, low);
+  oracle::PowerEstimator e2(nl, leakage, caps, high);
   Simulator sim(nl);
   Rng rng(9);
   for (int i = 0; i < 5; ++i) {

@@ -8,6 +8,7 @@
 #include "atpg/fault_sim.hpp"
 #include "atpg/tpg.hpp"
 #include "benchgen/benchgen.hpp"
+#include "oracle/scan_power_oracle.hpp"
 #include "scan/reorder.hpp"
 #include "scan/scan_sim.hpp"
 #include "techmap/techmap.hpp"
@@ -276,7 +277,8 @@ TEST_P(ChainLoadingTest, EveryCellReceivesItsBit) {
   ScanChainOrder shuffled = ident;
   rng.shuffle(shuffled.order);
   for (const ScanChainOrder& order : {ident, shuffled}) {
-    const std::vector<Logic> chain = simulate_chain_loading(order, ppi, k);
+    const std::vector<Logic> chain =
+        oracle::simulate_chain_loading(order, ppi, k);
     ASSERT_EQ(chain.size(), ppi.size());
     for (int p = 0; p < len; ++p) {
       EXPECT_EQ(chain[static_cast<std::size_t>(p)],

@@ -149,24 +149,6 @@ TEST(AddMux, InsertRejectsMissingConstants) {
 
 // ---------- scan shift simulation ---------------------------------------------
 
-/// Reference implementation: explicit per-cycle simulation used to verify
-/// the evaluator's protocol (chain order, shift direction, capture).
-struct ReferenceScan {
-  const Netlist& nl;
-  std::vector<Logic> chain;
-  std::vector<Logic> held_pi;
-  Simulator sim;
-  PowerEstimator power;
-
-  ReferenceScan(const Netlist& n, const LeakageModel& leak,
-                const CapacitanceModel& caps)
-      : nl(n),
-        chain(n.dffs().size(), Logic::Zero),
-        held_pi(n.inputs().size(), Logic::Zero),
-        sim(n),
-        power(n, leak, caps) {}
-};
-
 TEST(ScanSim, ChainEndsWithShiftedPattern) {
   // Verify the shift indexing: after L cycles, chain[k] == ppi[k]. We
   // check it indirectly: with include_capture_cycles the capture cycle

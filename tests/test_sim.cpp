@@ -3,9 +3,9 @@
 #include "util/assert.hpp"
 #include "benchgen/benchgen.hpp"
 #include "netlist/builder.hpp"
+#include "oracle/scan_power_oracle.hpp"
 #include "sim/logic.hpp"
 #include "sim/simulator.hpp"
-#include "sim/toggles.hpp"
 #include "util/rng.hpp"
 
 namespace scanpower {
@@ -182,7 +182,7 @@ TEST(Simulator, SetInputsSpanApi) {
   EXPECT_THROW(sim.set_inputs(logic_vector("01")), Error);
 }
 
-// ---------- toggle counting ------------------------------------------------
+// ---------- toggle counting (scalar oracle) -----------------------------------
 
 TEST(Toggles, WeightedCount) {
   const std::vector<Logic> before = logic_vector("0011x");
@@ -190,25 +190,25 @@ TEST(Toggles, WeightedCount) {
   const std::vector<double> w{1, 2, 4, 8, 16};
   // Positions 1 (0->1): 2, 2 (1->1): 0, wait: before=0,0,1,1,x after=0,1,1,0,x
   // toggles at pos1 (w=2) and pos3 (w=8).
-  EXPECT_DOUBLE_EQ(weighted_toggles(before, after, w), 10.0);
+  EXPECT_DOUBLE_EQ(oracle::weighted_toggles(before, after, w), 10.0);
 }
 
 TEST(Toggles, XTransitionsCountHalf) {
   const std::vector<Logic> before = logic_vector("x0");
   const std::vector<Logic> after = logic_vector("1x");
   const std::vector<double> w{2, 4};
-  EXPECT_DOUBLE_EQ(weighted_toggles(before, after, w), 1.0 + 2.0);
+  EXPECT_DOUBLE_EQ(oracle::weighted_toggles(before, after, w), 1.0 + 2.0);
 }
 
 TEST(Toggles, SizeMismatchThrows) {
   const std::vector<Logic> a = logic_vector("01");
   const std::vector<Logic> b = logic_vector("0");
   const std::vector<double> w{1, 1};
-  EXPECT_THROW(weighted_toggles(a, b, w), Error);
+  EXPECT_THROW(oracle::weighted_toggles(a, b, w), Error);
 }
 
 TEST(Toggles, AccumulatorAverages) {
-  ToggleAccumulator acc({1.0, 1.0});
+  oracle::ToggleAccumulator acc({1.0, 1.0});
   acc.observe(logic_vector("00"));
   acc.observe(logic_vector("11"));  // 2 toggles
   acc.observe(logic_vector("10"));  // 1 toggle

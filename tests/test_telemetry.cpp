@@ -19,6 +19,12 @@
 //     on block_words), justify.* across every configuration; attaching a
 //     scope never changes a TestSet or a FindControlledInputPattern
 //     result.
+//  6. Scan-power evaluation -- power_eval.calls / power_eval.cycles are
+//     added once per evaluation: run_flow adds 3 calls and the three
+//     columns' cycles; they follow only the evaluated test sets, so they
+//     are invariant across every (block_words, num_threads) on a fixed
+//     set; the session's telemetry-fed evaluations equal a standalone
+//     evaluator's results byte for byte.
 //
 // Every test compiles (and passes, mostly as skips or zero-checks) under
 // -DSCANPOWER_TELEMETRY=OFF -- that build's whole point is that this API
@@ -37,6 +43,8 @@
 #include "core/session.hpp"
 #include "diag/diagnose.hpp"
 #include "diag/response.hpp"
+#include "oracle/scan_power_oracle.hpp"
+#include "scan/scan_sim.hpp"
 #include "techmap/techmap.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -522,6 +530,80 @@ TEST(TelemetryNeutralityTest, TestSetsAndPatternsIdenticalWithAndWithoutScope) {
     EXPECT_EQ(m.counter(CounterId::kPodemAborted), ts_on.aborted_faults);
     EXPECT_GT(m.counter(CounterId::kJustifyCalls), 0u);
   }
+}
+
+// ---------- scan-power counters -----------------------------------------------
+
+TestSet seeded_tests(const Netlist& nl, int n) {
+  Rng rng(0x9e3);
+  TestSet ts;
+  for (int i = 0; i < n; ++i) ts.patterns.push_back(random_pattern(nl, rng));
+  return ts;
+}
+
+TEST(TelemetryPowerEvalTest, CountersFollowEvaluationsAcrossConfigs) {
+  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
+  const TestSet fixed = seeded_tests(nl, 6);
+  struct Cfg { int w, t; };
+  const Cfg cfgs[] = {{1, 1}, {1, 4}, {4, 1}, {4, 4}};
+  std::vector<std::uint64_t> flow_cycles;
+  std::vector<MetricsSnapshot> fixed_snaps;
+  for (const Cfg& c : cfgs) {
+    const std::string cfg =
+        "(" + std::to_string(c.w) + "," + std::to_string(c.t) + ")";
+    ScanSession flow(Netlist(nl), tpg_counter_options(c.w, c.t));
+    const FlowResult r = flow.run_flow();
+    const MetricsSnapshot m = flow.metrics();
+    EXPECT_EQ(m.counter(CounterId::kPowerEvalCalls), 3u) << cfg;
+    EXPECT_EQ(m.counter(CounterId::kPowerEvalCycles),
+              r.traditional.cycles + r.input_control.cycles +
+                  r.proposed.cycles)
+        << cfg;
+    EXPECT_GT(m.counter(CounterId::kPowerEvalCycles), 0u) << cfg;
+    flow_cycles.push_back(m.counter(CounterId::kPowerEvalCycles));
+
+    // On a caller-supplied set nothing depends on (W, T).
+    ScanSession session(Netlist(nl), tpg_counter_options(c.w, c.t));
+    const ScanPowerResult p = session.power_report(fixed);
+    const ScanPowerResult q = session.run_proposed(fixed);
+    const MetricsSnapshot f = session.metrics();
+    EXPECT_EQ(f.counter(CounterId::kPowerEvalCalls), 2u) << cfg;
+    EXPECT_EQ(f.counter(CounterId::kPowerEvalCycles), p.cycles + q.cycles)
+        << cfg;
+    fixed_snaps.push_back(f);
+  }
+  // run_flow evaluates the session's ATPG set, which depends on
+  // block_words by design (see the podem.* test above): its cycle count is
+  // invariant across thread counts at fixed block_words.
+  EXPECT_EQ(flow_cycles[0], flow_cycles[1]);
+  EXPECT_EQ(flow_cycles[2], flow_cycles[3]);
+  for (std::size_t i = 1; i < fixed_snaps.size(); ++i) {
+    for (const CounterId id :
+         {CounterId::kPowerEvalCalls, CounterId::kPowerEvalCycles}) {
+      EXPECT_EQ(fixed_snaps[0].counter(id), fixed_snaps[i].counter(id))
+          << counter_name(id) << " differs at config (" << cfgs[i].w << ","
+          << cfgs[i].t << ")";
+    }
+  }
+}
+
+TEST(TelemetryNeutralityTest, ScanPowerIdenticalWithAndWithoutScope) {
+  const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
+  const TestSet fixed = seeded_tests(nl, 6);
+  const FlowOptions opts = tpg_counter_options(4, 1);
+  ScanSession session(Netlist(nl), opts);
+  session.telemetry().trace.set_enabled(true);
+  const ScanPowerResult on = session.power_report(fixed);
+  const FlowResult flow = session.run_flow();
+
+  // The standalone evaluator reports to no telemetry scope at all.
+  const LeakageModel model(opts.leakage_params);
+  ScanPowerEvaluator eval(nl, model, opts.delay.caps(), opts.power);
+  EXPECT_TRUE(
+      oracle::bit_identical(on, eval.evaluate(fixed, {}, {}, opts.scan)));
+  EXPECT_TRUE(oracle::bit_identical(
+      flow.traditional, eval.evaluate(session.tests(), {}, {}, opts.scan)));
 }
 
 }  // namespace
