@@ -645,7 +645,7 @@ void BM_Justify(benchmark::State& state) {
 BENCHMARK(BM_Justify);
 
 // Full ATPG on s510, the PODEM-heavy profile of the flow_atpg workload
-// (proven-untestable and aborted faults included), single-threaded.
+// (over half its faults are proven untestable), single-threaded.
 void BM_TestGeneration(benchmark::State& state) {
   const Netlist& nl = circuit("s510");
   TpgOptions opts;

@@ -12,6 +12,13 @@
 // source it assigns, and a backtrack rolls the undo trail back to the
 // decision instead of re-simulating. The D-frontier is searched only in
 // the fanout cone of the fault site, once per search step.
+//
+// X-path check: a step whose D-frontier cannot reach an observable line
+// through gates that may still differ between the two machines is a dead
+// end. Values only get more specific as sources are assigned, so a gate
+// whose machines agree on a known value keeps blocking the effect and the
+// pruned subtree holds no test. The search visits the surviving nodes in
+// the same order, with no more backtracks.
 
 #include <optional>
 #include <span>
@@ -30,7 +37,8 @@ struct PodemOptions {
   int backtrack_limit = 4000;
   const BacktraceDirective* directive = nullptr;  ///< default: DepthDirective
   /// Optional metrics scope (not owned; nullptr = no telemetry): podem.*
-  /// counters, added once per generate() call.
+  /// counters (including the X-path dead ends, podem.xpath_prunes), added
+  /// once per generate() call.
   Telemetry* telemetry = nullptr;
 };
 
@@ -62,6 +70,10 @@ class Podem {
   /// Fills frontier_ with the cone gates that can still propagate the
   /// fault effect, deepest first (ties by id).
   void compute_d_frontier();
+  /// X-path check: true when some frontier_ gate reaches an observable
+  /// gate through cone gates whose two machines do not hold the same
+  /// known value.
+  bool x_path_exists();
   /// Objective (line, value) to pursue next; nullopt = dead end.
   /// `frontier` is this step's D-frontier (read once the fault is
   /// activated).
@@ -86,8 +98,14 @@ class Podem {
   std::vector<GateId> cone_observed_;     ///< observable gates in the cone
   std::vector<GateId> frontier_;
   std::vector<GateId> candidates_;        ///< backtrace scratch
+  // X-path scratch: a gate is visited this step iff its mark equals the
+  // epoch, so no step clears the marks.
+  std::vector<std::uint32_t> xpath_mark_;
+  std::uint32_t xpath_epoch_ = 0;
+  std::vector<GateId> xpath_stack_;
   std::vector<Decision> decisions_;
   int backtracks_ = 0;
+  int xpath_prunes_ = 0;
 };
 
 }  // namespace scanpower

@@ -51,6 +51,10 @@ struct Ops256 {
 struct Ops512 {
   using V = __m512i;
   static constexpr int kWordsPerVec = 8;
+  // gcc 12 builds the unmasked forms of some intrinsics on
+  // _mm512_undefined_*() and warns that it is read; zero-masking with
+  // every lane selected gives the same result without it.
+  static constexpr __mmask8 kAllLanes = 0xFF;
   static V load(const PatternWord* p) { return _mm512_loadu_si512(p); }
   static void store(PatternWord* p, V v) { _mm512_storeu_si512(p, v); }
   static V zeros() { return _mm512_setzero_si512(); }
@@ -59,7 +63,9 @@ struct Ops512 {
   static V vor(V a, V b) { return _mm512_or_si512(a, b); }
   static V vxor(V a, V b) { return _mm512_xor_si512(a, b); }
   static V vnot(V a) { return _mm512_xor_si512(a, ones()); }
-  static V vandnot(V a, V b) { return _mm512_andnot_si512(a, b); }
+  static V vandnot(V a, V b) {
+    return _mm512_maskz_andnot_epi64(kAllLanes, a, b);
+  }
 };
 
 #include "atpg/sim_kernels_vec.inc"
@@ -99,12 +105,16 @@ void leak_gather(const double* table, unsigned base, const PatternWord* src,
     const __m512i lanes = _mm512_add_epi64(lane0, _mm512_set1_epi64(i));
     __m512i idx = vbase;
     for (int j = 0; j < k; ++j) {
-      __m512i bits = _mm512_srlv_epi64(
+      __m512i bits = _mm512_maskz_srlv_epi64(
+          Ops512::kAllLanes,
           _mm512_set1_epi64(static_cast<long long>(src[j])), lanes);
       bits = _mm512_and_si512(bits, one);
-      idx = _mm512_or_si512(idx, _mm512_slli_epi64(bits, j));
+      idx = _mm512_or_si512(
+          idx, _mm512_maskz_slli_epi64(Ops512::kAllLanes, bits,
+                                       static_cast<unsigned>(j)));
     }
-    const __m512d vals = _mm512_i64gather_pd(idx, table, 8);
+    const __m512d vals = _mm512_mask_i64gather_pd(
+        _mm512_setzero_pd(), Ops512::kAllLanes, idx, table, 8);
     _mm512_storeu_pd(leak64 + i,
                      _mm512_add_pd(_mm512_loadu_pd(leak64 + i), vals));
   }

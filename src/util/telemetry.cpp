@@ -24,6 +24,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "podem.detected",
     "podem.untestable",
     "podem.aborted",
+    "podem.xpath_prunes",
     "justify.calls",
     "justify.backtracks",
     "power_eval.calls",

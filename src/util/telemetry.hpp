@@ -63,6 +63,7 @@ enum class CounterId : int {
   kPodemDetected,
   kPodemUntestable,
   kPodemAborted,
+  kPodemXpathPrunes,   ///< search steps cut by the X-path check
   kJustifyCalls,
   kJustifyBacktracks,
   // scan-shift power evaluation, added once per evaluate() call (semantic)

@@ -433,8 +433,8 @@ TEST(TelemetryNeutralityTest, RankingsIdenticalWithAndWithoutScope) {
 const CounterId kTpgCounters[] = {
     CounterId::kPodemCalls,     CounterId::kPodemBacktracks,
     CounterId::kPodemDetected,  CounterId::kPodemUntestable,
-    CounterId::kPodemAborted,   CounterId::kJustifyCalls,
-    CounterId::kJustifyBacktracks,
+    CounterId::kPodemAborted,   CounterId::kPodemXpathPrunes,
+    CounterId::kJustifyCalls,   CounterId::kJustifyBacktracks,
 };
 
 /// A tight PODEM budget so s344 ends with all three outcomes.
@@ -472,6 +472,7 @@ TEST(TelemetryTpgCountersTest, PodemCountersMatchTestSetAcrossConfigs) {
     EXPECT_GT(ts.untestable_faults, 0u) << cfg;
     EXPECT_GT(ts.aborted_faults, 0u) << cfg;
     EXPECT_GT(m.counter(CounterId::kPodemBacktracks), 0u) << cfg;
+    EXPECT_GT(m.counter(CounterId::kPodemXpathPrunes), 0u) << cfg;
     EXPECT_GT(m.counter(CounterId::kJustifyCalls), 0u) << cfg;
     snaps.push_back(m);
   }
