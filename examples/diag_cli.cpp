@@ -20,9 +20,8 @@
 //     --random <n>         use n random patterns instead of the ATPG set
 //     --seed <n>           pattern seed
 //     --threads <n>        candidate-scoring worker threads (0 = all cores)
-//     --block-words <w>    packed block width (1, 2, 4, 8, 16 or 32; 16/32
-//                          require the wide backend)
-//     --backend <b>        kernel backend (auto, scalar, avx2, avx512, wide)
+//     --block-words <w>    packed block width (1, 2, 4 or 8)
+//     --backend <b>        kernel backend (auto, scalar, avx2, avx512)
 //     --no-prune           score the whole fault list (skip cone back-trace)
 //     --top <n>            report size (default 10)
 //     --json <file>        machine-readable result dump (an object for a
@@ -104,7 +103,7 @@ int usage(const char* argv0) {
       "          [--inject fault | --inject-index n]\n"
       "          [--save-log file] [--named-log] [--random n] [--seed n]\n"
       "          [--threads n] [--block-words w] [--no-prune]\n"
-      "          [--backend auto|scalar|avx2|avx512|wide]\n"
+      "          [--backend auto|scalar|avx2|avx512]\n"
       "          [--no-early-exit] [--top n] [--json file] [--no-map]\n"
       "          [--verbose] [--log-level debug|info|warn|error|off]\n"
       "          [--metrics | --metrics=json] [--trace file]\n"
@@ -342,8 +341,8 @@ int main(int argc, char** argv) {
     } else if (cli::value_flag(argc, argv, i, "--random", num_random)) {
     } else if (cli::value_flag(argc, argv, i, "--seed", seed)) {
     } else if (cli::value_flag(argc, argv, i, "--threads", dopts.num_threads)) {
-    } else if (cli::value_flag(argc, argv, i, "--block-words",
-                               dopts.block_words)) {
+    } else if (cli::block_words_flag(argc, argv, i, "--block-words",
+                                     dopts.block_words)) {
     } else if (cli::backend_flag(argc, argv, i, "--backend", dopts.backend)) {
     } else if (cli::flag(argv, i, "--no-prune")) {
       dopts.cone_pruning = false;
@@ -360,11 +359,10 @@ int main(int argc, char** argv) {
     } else if (cli::value_flag(argc, argv, i, "--noise-seed", nopts.seed)) {
     } else if (cli::value_flag(argc, argv, i, "--tolerance",
                                dopts.noise_tolerance)) {
-    } else if (cli::value_flag(argc, argv, i, "--top-set", v)) {
-      dopts.max_multiplets = static_cast<std::size_t>(std::atol(v));
+    } else if (cli::value_flag(argc, argv, i, "--top-set",
+                               dopts.max_multiplets)) {
       dopts.multiplets = dopts.max_multiplets > 0;
-    } else if (cli::value_flag(argc, argv, i, "--top", v)) {
-      dopts.max_report = static_cast<std::size_t>(std::atol(v));
+    } else if (cli::value_flag(argc, argv, i, "--top", dopts.max_report)) {
     } else if (cli::value_flag(argc, argv, i, "--json", json_path)) {
     } else if (cli::value_flag(argc, argv, i, "--trace", trace_path)) {
     } else if (cli::flag(argv, i, "--metrics")) {

@@ -45,7 +45,7 @@
 //               [--max-pending n] [--overload block|reject]
 //               [--pool-capacity n] [--max-batch n] [--top n]
 //               [--threads n] [--block-words w]
-//               [--backend auto|scalar|avx2|avx512|wide]
+//               [--backend auto|scalar|avx2|avx512]
 //               [--log-level debug|info|warn|error|off]
 //
 //   --max-pending bounds queued+in-flight jobs (0 = unbounded);
@@ -82,7 +82,7 @@ int usage(const char* argv0) {
       "          [--max-pending n] [--overload block|reject]\n"
       "          [--pool-capacity n] [--max-batch n] [--top n]\n"
       "          [--threads n] [--block-words w]\n"
-      "          [--backend auto|scalar|avx2|avx512|wide]\n"
+      "          [--backend auto|scalar|avx2|avx512]\n"
       "          [--log-level debug|info|warn|error|off]\n"
       "\n"
       "  Without --listen, reads newline-delimited commands on stdin;\n"
@@ -116,17 +116,14 @@ int main(int argc, char** argv) {
   DiagnosisOptions dopts;
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
-    if (cli::value_flag(argc, argv, i, "--listen", v)) {
+    if (cli::value_flag(argc, argv, i, "--listen", listen_port)) {
       listen = true;
-      listen_port = std::atoi(v);
       if (listen_port < 0 || listen_port > 65535) {
         std::fprintf(stderr, "error: --listen port must be 0..65535\n");
         return 2;
       }
-    } else if (cli::value_flag(argc, argv, i, "--max-connections", v)) {
-      max_connections = static_cast<std::size_t>(std::atol(v));
-    } else if (cli::value_flag(argc, argv, i, "--max-pending", v)) {
-      max_pending = static_cast<std::size_t>(std::atol(v));
+    } else if (cli::value_flag(argc, argv, i, "--max-connections", max_connections)) {
+    } else if (cli::value_flag(argc, argv, i, "--max-pending", max_pending)) {
     } else if (cli::value_flag(argc, argv, i, "--overload", v)) {
       if (std::strcmp(v, "block") == 0) {
         overload = DiagnosisQueue::OverloadPolicy::Block;
@@ -139,16 +136,13 @@ int main(int argc, char** argv) {
                      v);
         return 2;
       }
-    } else if (cli::value_flag(argc, argv, i, "--pool-capacity", v)) {
-      pool_capacity = static_cast<std::size_t>(std::atol(v));
-    } else if (cli::value_flag(argc, argv, i, "--max-batch", v)) {
-      max_batch = static_cast<std::size_t>(std::atol(v));
-    } else if (cli::value_flag(argc, argv, i, "--top", v)) {
-      top = static_cast<std::size_t>(std::atol(v));
+    } else if (cli::value_flag(argc, argv, i, "--pool-capacity", pool_capacity)) {
+    } else if (cli::value_flag(argc, argv, i, "--max-batch", max_batch)) {
+    } else if (cli::value_flag(argc, argv, i, "--top", top)) {
     } else if (cli::value_flag(argc, argv, i, "--threads",
                                dopts.num_threads)) {
-    } else if (cli::value_flag(argc, argv, i, "--block-words",
-                               dopts.block_words)) {
+    } else if (cli::block_words_flag(argc, argv, i, "--block-words",
+                                     dopts.block_words)) {
     } else if (cli::backend_flag(argc, argv, i, "--backend", dopts.backend)) {
     } else if (cli::value_flag(argc, argv, i, "--log-level", v)) {
       set_log_level(cli::parse_log_level(v));

@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (cli::value_flag(argc, argv, i, "--sweeps", sopts.sweeps)) {
     } else if (cli::value_flag(argc, argv, i, "--threads", sopts.num_threads)) {
-    } else if (cli::value_flag(argc, argv, i, "--block-words",
-                               sopts.block_words)) {
+    } else if (cli::block_words_flag(argc, argv, i, "--block-words",
+                                     sopts.block_words)) {
     } else if (cli::backend_flag(argc, argv, i, "--backend", sopts.backend)) {
     } else {
       name = argv[i];

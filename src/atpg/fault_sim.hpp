@@ -128,14 +128,14 @@ struct FaultSimResult {
 
 struct FaultSimOptions {
   /// Pattern words per simulation block: 64*block_words patterns per
-  /// sweep. Must be 1, 2, 4, 8, 16 or 32 (16/32 require the wide
-  /// backend).
+  /// sweep. Must be 1, 2, 4 or 8 (is_valid_block_words); every backend
+  /// runs every width.
   int block_words = 4;
   /// Worker count for the per-fault sweep. 1 = serial (no threads
   /// spawned); 0 = hardware concurrency.
   int num_threads = 1;
-  /// Kernel backend; Auto = best available for the width. Results are
-  /// bit-identical across backends.
+  /// Kernel backend; Auto = best available. Results are bit-identical
+  /// across backends.
   SimBackend backend = SimBackend::Auto;
   /// Optional metrics/trace scope (not owned; nullptr = no telemetry).
   Telemetry* telemetry = nullptr;

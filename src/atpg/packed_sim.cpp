@@ -1,9 +1,28 @@
 #include "atpg/packed_sim.hpp"
 
+#include <cstddef>
+#include <string>
+
 #include "atpg/sim_kernels.hpp"
 #include "util/assert.hpp"
+#include "util/strings.hpp"
 
 namespace scanpower {
+
+void check_block_words(const char* who, const char* knob, int w) {
+  if (is_valid_block_words(w)) return;
+  // "1, 2, 4 or 8", spelled from BlockWordsSet.
+  std::string set;
+  [&]<int... Ws>(std::integer_sequence<int, Ws...>) {
+    const int ws[] = {Ws...};
+    const std::size_t n = sizeof...(Ws);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0) set += i + 1 == n ? " or " : ", ";
+      set += std::to_string(ws[i]);
+    }
+  }(BlockWordsSet{});
+  throw Error(strprintf("%s: %s must be %s (got %d)", who, knob, set.c_str(), w));
+}
 
 PatternWord eval_type_packed(GateType type, std::span<const PatternWord> ins) {
   switch (type) {
@@ -46,8 +65,7 @@ BlockSimulator::BlockSimulator(const Netlist& nl, int words,
                                SimBackend backend)
     : nl_(&nl), words_(words) {
   SP_CHECK(nl.finalized(), "BlockSimulator requires a finalized netlist");
-  SP_CHECK(is_valid_block_words(words),
-           "BlockSimulator: block width must be 1, 2, 4, 8, 16 or 32 words");
+  check_block_words("BlockSimulator", "words", words);
   backend_ = resolve_backend(backend, words);
   kern_ = &sim_kernels(backend_);
   values_.assign(nl.num_gates() * static_cast<std::size_t>(words_), 0);

@@ -3,12 +3,12 @@
 //
 // Each gate's value is a block of W 64-bit words (W*64 fully specified
 // patterns per sweep, one pattern per bit lane). W is selected at runtime
-// from {1, 2, 4, 8} for the word backends, or {16, 32} for the
-// device-shaped wide backend; full evaluation dispatches through a
-// per-backend kernel table (see sim_backend.hpp / sim_kernels.hpp), so
-// the same simulator runs scalar, AVX2, AVX-512 or wide kernels with
-// bit-identical results. Used by the fault simulator (good machine +
-// cone-restricted faulty machine) and by random-phase test generation.
+// from {1, 2, 4, 8} (is_valid_block_words; every backend runs every
+// width); full evaluation dispatches through a per-backend kernel table
+// (see sim_backend.hpp / sim_kernels.hpp), so the same simulator runs
+// scalar, AVX2 or AVX-512 kernels with bit-identical results. Used by the
+// fault simulator (good machine + cone-restricted faulty machine), the
+// diagnosis and compaction engines, and random-phase test generation.
 //
 // Inner loops read the netlist through the flat CSR views (fanin_span /
 // types_flat) and use fixed-fanin fast paths for the NAND/NOR/INV-mapped
@@ -18,6 +18,8 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "atpg/sim_backend.hpp"
@@ -42,11 +44,32 @@ struct PackedBlock {
   }
 };
 
-/// Widths accepted by BlockSimulator / FaultSimOptions. 1-8 are the word
-/// backends' widths; 16/32 belong to the wide backend (see
-/// backend_supports_words for the per-backend matrix).
+/// The block widths every packed engine and every backend accepts, in
+/// words of 64 lanes. The one place the set is written down.
+using BlockWordsSet = std::integer_sequence<int, 1, 2, 4, 8>;
+
 inline bool is_valid_block_words(int w) {
-  return w == 1 || w == 2 || w == 4 || w == 8 || w == 16 || w == 32;
+  return []<int... Ws>(std::integer_sequence<int, Ws...>, int v) {
+    return ((v == Ws) || ...);
+  }(BlockWordsSet{}, w);
+}
+
+/// Throws Error "<who>: <knob> must be 1, 2, 4 or 8 (got <w>)" unless
+/// `w` is a valid block width.
+void check_block_words(const char* who, const char* knob, int w);
+
+/// Calls fn(std::integral_constant<int, W>{}) for the runtime width
+/// `words`, so per-width templates are instantiated once per valid width
+/// and selected here instead of in a switch at every call site. `words`
+/// must be valid (engines check it with check_block_words on entry).
+template <typename Fn>
+inline void dispatch_block_words(int words, Fn&& fn) {
+  const bool hit = [&]<int... Ws>(std::integer_sequence<int, Ws...>) {
+    return ((words == Ws ? (fn(std::integral_constant<int, Ws>{}), true)
+                         : false) ||
+            ...);
+  }(BlockWordsSet{});
+  SP_ASSERT(hit, "dispatch_block_words: invalid block width");
 }
 
 /// Lane-validity mask for a block holding `batch` patterns (a final block
@@ -199,18 +222,6 @@ class BlockSimulator {
   SimBackend backend_;        ///< resolved, never Auto
   const SimKernels* kern_;    ///< backend kernel table
   std::vector<PatternWord> values_;  ///< num_gates * words_, gate-major
-};
-
-/// Single-word (64-pattern) view, kept as the convenience API for tests
-/// and random-phase TPG.
-class PackedSimulator : public BlockSimulator {
- public:
-  explicit PackedSimulator(const Netlist& nl) : BlockSimulator(nl, 1) {}
-
-  /// Sets one source's word (bit lane = pattern index).
-  void set_source(GateId id, PatternWord w) { set_source_word(id, 0, w); }
-  PatternWord value(GateId id) const { return word(id, 0); }
-  const std::vector<PatternWord>& values() const { return storage(); }
 };
 
 /// Pure combinational word evaluation for a gate type.

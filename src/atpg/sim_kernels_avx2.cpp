@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 
 #include "atpg/packed_sim.hpp"
 #include "util/assert.hpp"
@@ -81,7 +80,7 @@ void eval_ternary(const Netlist& nl, PatternWord* p1, PatternWord* p0,
 }
 
 void cone_sweep(ConeSweepArgs& a, int words) {
-  dispatch_words<1u | 2u | 4u | 8u>(
+  dispatch_block_words(
       words, [&](auto w) { cone_sweep_impl<decltype(w)::value>(a); });
 }
 

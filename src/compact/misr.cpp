@@ -72,8 +72,7 @@ std::vector<std::uint64_t> Misr::compact_scalar(const ResponseMatrix& responses,
 
 MisrCompactor::MisrCompactor(const MisrConfig& cfg, int block_words)
     : misr_(cfg), words_(block_words) {
-  SP_CHECK(is_valid_block_words(block_words),
-           "MisrCompactor: block_words must be 1, 2, 4, 8, 16 or 32");
+  check_block_words("MisrCompactor", "block_words", block_words);
 }
 
 template <int W>
@@ -169,15 +168,10 @@ void MisrCompactor::compact_rows(std::span<const PatternWord> rows,
                  mask->num_windows() == out.size(),
              "MisrCompactor: X-mask plan shape mismatch");
   }
-  switch (words_) {
-    case 1: compact_impl<1>(rows, num_points, num_patterns, mask, out); break;
-    case 2: compact_impl<2>(rows, num_points, num_patterns, mask, out); break;
-    case 4: compact_impl<4>(rows, num_points, num_patterns, mask, out); break;
-    case 8: compact_impl<8>(rows, num_points, num_patterns, mask, out); break;
-    case 16: compact_impl<16>(rows, num_points, num_patterns, mask, out); break;
-    case 32: compact_impl<32>(rows, num_points, num_patterns, mask, out); break;
-    default: SP_ASSERT(false, "invalid block width");
-  }
+  dispatch_block_words(words_, [&](auto w) {
+    compact_impl<decltype(w)::value>(rows, num_points, num_patterns, mask,
+                                     out);
+  });
 }
 
 void MisrCompactor::compact(const ResponseMatrix& responses,

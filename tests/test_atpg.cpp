@@ -84,7 +84,7 @@ TEST(Faults, ToStringIsReadable) {
 
 TEST(PackedSim, MatchesScalarSimulator) {
   const Netlist nl = map_to_nand_nor_inv(make_s27());
-  PackedSimulator packed(nl);
+  BlockSimulator packed(nl, 1);
   Simulator scalar(nl);
   Rng rng(77);
   // 64 random patterns in one word.
@@ -95,14 +95,14 @@ TEST(PackedSim, MatchesScalarSimulator) {
     for (int j = 0; j < 64; ++j) {
       if (pats[j].pi[k] == Logic::One) w |= PatternWord{1} << j;
     }
-    packed.set_source(nl.inputs()[k], w);
+    packed.set_source_word(nl.inputs()[k], 0, w);
   }
   for (std::size_t k = 0; k < nl.dffs().size(); ++k) {
     PatternWord w = 0;
     for (int j = 0; j < 64; ++j) {
       if (pats[j].ppi[k] == Logic::One) w |= PatternWord{1} << j;
     }
-    packed.set_source(nl.dffs()[k], w);
+    packed.set_source_word(nl.dffs()[k], 0, w);
   }
   packed.eval();
   for (int j : {0, 1, 17, 63}) {
@@ -110,7 +110,7 @@ TEST(PackedSim, MatchesScalarSimulator) {
     scalar.set_states(pats[j].ppi);
     scalar.eval_incremental();
     for (GateId id = 0; id < nl.num_gates(); ++id) {
-      const bool packed_bit = (packed.value(id) >> j) & 1;
+      const bool packed_bit = (packed.word(id, 0) >> j) & 1;
       ASSERT_EQ(from_bool(packed_bit), scalar.value(id))
           << nl.gate_name(id) << " lane " << j;
     }

@@ -8,8 +8,9 @@
 //
 // Backends that the host cannot run (AVX TUs compiled out, CPU without
 // the features) are skipped here and covered by the CI matrix on hosts
-// that do have them; the wide backend and scalar are always available so
-// the suite is never vacuous.
+// that do have them. On a host with neither AVX2 nor AVX-512 the
+// cross-check legs have nothing to compare; the selection-contract tests
+// still run.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
+#include "atpg/packed_sim.hpp"
 #include "atpg/sim_backend.hpp"
 #include "benchgen/benchgen.hpp"
 #include "core/dont_care_fill.hpp"
@@ -38,19 +40,19 @@ namespace {
 
 /// Non-scalar backends runnable on this host (scalar is the reference).
 std::vector<SimBackend> backends_under_test() {
-  std::vector<SimBackend> v{SimBackend::Wide};
+  std::vector<SimBackend> v;
   if (backend_available(SimBackend::Avx2)) v.push_back(SimBackend::Avx2);
   if (backend_available(SimBackend::Avx512)) v.push_back(SimBackend::Avx512);
   return v;
 }
 
-/// The (W, T) matrix for a backend: W in {1, 4} (the wide backend's floor
-/// is 16, so it runs {16, 32}) crossed with T in {1, 4}.
-std::vector<std::pair<int, int>> matrix_for(SimBackend b) {
-  const std::vector<int> widths =
-      b == SimBackend::Wide ? std::vector<int>{16, 32} : std::vector<int>{1, 4};
+/// The (W, T) matrix every backend runs: W in {1, 4, 8} crossed with
+/// T in {1, 4}. W = 1 takes the generic bodies, W = 4 one 256-bit vector
+/// per block, and W = 8 avx2's two-register and avx512's one-register
+/// 512-bit paths.
+std::vector<std::pair<int, int>> matrix() {
   std::vector<std::pair<int, int>> m;
-  for (int w : widths) {
+  for (int w : {1, 4, 8}) {
     for (int t : {1, 4}) m.emplace_back(w, t);
   }
   return m;
@@ -99,58 +101,61 @@ Netlist all_dff_netlist() {
 
 TEST(BackendApi, NameParseRoundTrip) {
   for (SimBackend b : {SimBackend::Auto, SimBackend::Scalar, SimBackend::Avx2,
-                       SimBackend::Avx512, SimBackend::Wide}) {
+                       SimBackend::Avx512}) {
     SimBackend back = SimBackend::Auto;
     ASSERT_TRUE(parse_backend(backend_name(b), &back)) << backend_name(b);
     EXPECT_EQ(back, b);
   }
   SimBackend out;
   EXPECT_FALSE(parse_backend("sse9", &out));
+  EXPECT_FALSE(parse_backend("wide", &out));
   EXPECT_FALSE(parse_backend("", &out));
 }
 
-TEST(BackendApi, WidthSupportMatrix) {
-  for (int w : {1, 2, 4, 8, 16, 32}) {
-    EXPECT_TRUE(backend_supports_words(SimBackend::Scalar, w));
-    EXPECT_TRUE(backend_supports_words(SimBackend::Auto, w));
-    EXPECT_EQ(backend_supports_words(SimBackend::Avx2, w), w <= 8);
-    EXPECT_EQ(backend_supports_words(SimBackend::Avx512, w), w <= 8);
-    EXPECT_EQ(backend_supports_words(SimBackend::Wide, w), w >= 16);
+TEST(BackendApi, OneWidthSet) {
+  std::vector<int> valid;
+  for (int w = -1; w <= 64; ++w) {
+    if (is_valid_block_words(w)) valid.push_back(w);
   }
-  for (SimBackend b : {SimBackend::Scalar, SimBackend::Avx2, SimBackend::Wide,
-                       SimBackend::Auto}) {
-    EXPECT_FALSE(backend_supports_words(b, 3));
-    EXPECT_FALSE(backend_supports_words(b, 64));
-    EXPECT_FALSE(backend_supports_words(b, 0));
+  EXPECT_EQ(valid, (std::vector<int>{1, 2, 4, 8}));
+  std::vector<int> dispatched;
+  for (int w : valid) {
+    dispatch_block_words(w, [&](auto c) { dispatched.push_back(c.value); });
+  }
+  EXPECT_EQ(dispatched, valid);
+  EXPECT_NO_THROW(check_block_words("who", "knob", 8));
+  try {
+    check_block_words("who", "knob", 16);
+    ADD_FAILURE() << "block_words=16 accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "who: knob must be 1, 2, 4 or 8 (got 16)");
   }
 }
 
 TEST(BackendApi, ExplicitRequestsAreHardContracts) {
-  // Scalar always resolves, at every width.
-  for (int w : {1, 2, 4, 8, 16, 32}) {
-    EXPECT_EQ(resolve_backend(SimBackend::Scalar, w), SimBackend::Scalar);
+  // Every available backend resolves to itself at every valid width.
+  for (SimBackend b :
+       {SimBackend::Scalar, SimBackend::Avx2, SimBackend::Avx512}) {
+    for (int w : {1, 2, 4, 8}) {
+      if (backend_available(b)) {
+        EXPECT_EQ(resolve_backend(b, w), b) << backend_name(b) << " w=" << w;
+      } else {
+        EXPECT_THROW(resolve_backend(b, w), Error) << backend_name(b);
+      }
+    }
   }
-  // Width-incompatible explicit requests throw (both backends are
-  // "available" in the sense tested here: wide always, and the width
-  // check fires before availability can save an AVX host).
-  EXPECT_THROW(resolve_backend(SimBackend::Wide, 4), Error);
-  EXPECT_THROW(resolve_backend(SimBackend::Wide, 8), Error);
-  if (backend_available(SimBackend::Avx2)) {
-    EXPECT_THROW(resolve_backend(SimBackend::Avx2, 16), Error);
-    EXPECT_EQ(resolve_backend(SimBackend::Avx2, 4), SimBackend::Avx2);
-  } else {
-    EXPECT_THROW(resolve_backend(SimBackend::Avx2, 4), Error);
+  // An invalid width throws whatever the backend.
+  for (SimBackend b : {SimBackend::Auto, SimBackend::Scalar}) {
+    for (int w : {0, 3, 5, 16, 32, 64}) {
+      EXPECT_THROW(resolve_backend(b, w), Error) << "w=" << w;
+    }
   }
-  if (!backend_available(SimBackend::Avx512)) {
-    EXPECT_THROW(resolve_backend(SimBackend::Avx512, 4), Error);
-  }
-  EXPECT_THROW(resolve_backend(SimBackend::Scalar, 5), Error);
 }
 
 // Auto resolution, including the SCANPOWER_FORCE_BACKEND steering that
-// the CI matrix uses: a forced backend wins exactly when it is available
-// and supports the width; otherwise detection falls back gracefully
-// (never an error). The test honors whatever environment it runs under.
+// the CI matrix uses: a forced backend wins exactly when it is available;
+// otherwise detection falls back gracefully (never an error). The test
+// honors whatever environment it runs under.
 TEST(BackendApi, AutoResolvesToForcedOrBestAvailable) {
   SimBackend forced = SimBackend::Auto;
   if (const char* env = std::getenv("SCANPOWER_FORCE_BACKEND")) {
@@ -158,25 +163,21 @@ TEST(BackendApi, AutoResolvesToForcedOrBestAvailable) {
       forced = SimBackend::Auto;
     }
   }
-  for (int w : {1, 2, 4, 8, 16, 32}) {
+  for (int w : {1, 2, 4, 8}) {
     const SimBackend r = resolve_backend(SimBackend::Auto, w);
     EXPECT_NE(r, SimBackend::Auto);
     EXPECT_TRUE(backend_available(r));
-    EXPECT_TRUE(backend_supports_words(r, w));
-    if (forced != SimBackend::Auto && backend_available(forced) &&
-        backend_supports_words(forced, w)) {
+    if (forced != SimBackend::Auto && backend_available(forced)) {
       EXPECT_EQ(r, forced) << "w=" << w;
     } else {
-      EXPECT_EQ(r, detect_best_backend(w)) << "w=" << w;
+      EXPECT_EQ(r, detect_best_backend()) << "w=" << w;
     }
   }
 }
 
-TEST(BackendApi, ScalarAndWideAlwaysAvailable) {
+TEST(BackendApi, ScalarAlwaysAvailable) {
   EXPECT_TRUE(backend_available(SimBackend::Scalar));
-  EXPECT_TRUE(backend_available(SimBackend::Wide));
   EXPECT_TRUE(backend_compiled(SimBackend::Scalar));
-  EXPECT_TRUE(backend_compiled(SimBackend::Wide));
 }
 
 // ---------- fault simulation ------------------------------------------------
@@ -195,7 +196,7 @@ void cross_check_fault_sim(const Netlist& nl, const std::string& name) {
   const auto pats = random_patterns(nl, 48, 0xbac0 + nl.num_gates());
 
   for (SimBackend b : backends_under_test()) {
-    for (auto [w, t] : matrix_for(b)) {
+    for (auto [w, t] : matrix()) {
       FaultSimOptions ref_opts;
       ref_opts.block_words = w;
       ref_opts.backend = SimBackend::Scalar;
@@ -309,7 +310,7 @@ TEST(BackendCrossCheck, DiagnosisRankingsMatchScalar) {
   FailureLog twin = cap.inject(pats, std::span<const Fault>(detected));
   for (const FailureLog* log : {&single, &twin}) {
     for (SimBackend b : backends_under_test()) {
-      for (auto [w, t] : matrix_for(b)) {
+      for (auto [w, t] : matrix()) {
         DiagnosisOptions ref_opts;
         ref_opts.block_words = w;
         ref_opts.backend = SimBackend::Scalar;
@@ -336,7 +337,7 @@ TEST(BackendCrossCheck, ObservabilitySumsMatchScalar) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s444"));
   const LeakageModel model;
   for (SimBackend b : backends_under_test()) {
-    for (auto [w, t] : matrix_for(b)) {
+    for (auto [w, t] : matrix()) {
       ObservabilityOptions ref_opts;
       ref_opts.samples = 512;
       ref_opts.block_words = w;
@@ -365,10 +366,10 @@ TEST(BackendCrossCheck, FillChoicesMatchScalar) {
   const LeakageModel model;
   const std::vector<bool> eligible(nl.dffs().size(), true);
   for (SimBackend b : backends_under_test()) {
-    for (auto [w, t] : matrix_for(b)) {
+    for (auto [w, t] : matrix()) {
       FillOptions ref_opts;
       // Enough trials that the candidate-count clamp never narrows any
-      // width in the matrix (32 words * 64 lanes = 2048 lanes).
+      // width in the matrix (the widest block, 8 words, is 512 lanes).
       ref_opts.trials = 4096;
       ref_opts.block_words = w;
       ref_opts.backend = SimBackend::Scalar;

@@ -78,14 +78,14 @@ TEST(ResponseCaptureTest, GoodSignaturesMatchScalarSimAllWidths) {
     EXPECT_EQ(m.words, ref.words) << "W=" << words;
   }
 
-  // Spot-check against PackedSimulator lanes.
-  PackedSimulator sim(nl);
+  // Spot-check against single-word BlockSimulator lanes.
+  BlockSimulator sim(nl, 1);
   load_pattern_block(nl, pats, 0, sim);
   sim.eval();
   const ObservationPoints& ops = cap1.points();
   for (std::size_t op = 0; op < ops.size(); ++op) {
     for (std::size_t p = 0; p < 64; ++p) {
-      const bool expect = (sim.value(ops.observed_gate(op)) >> p) & 1;
+      const bool expect = (sim.word(ops.observed_gate(op), 0) >> p) & 1;
       EXPECT_EQ(ref.bit(op, p), expect);
     }
   }
