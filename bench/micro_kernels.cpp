@@ -632,19 +632,25 @@ void BM_Justify(benchmark::State& state) {
 }
 BENCHMARK(BM_Justify);
 
-// Full ATPG on s510, the PODEM-heavy profile of the flow_atpg workload
-// (over half its faults are proven untestable), single-threaded.
+// Full ATPG, single-threaded. Arg 0 is s510, the PODEM-heavy profile of
+// the flow_atpg workload (over half its faults are proven untestable);
+// arg 1 is s641, where PODEM still aborts faults at its 4000-backtrack
+// limit. The label carries the untestable and aborted counts.
 void BM_TestGeneration(benchmark::State& state) {
-  const Netlist& nl = circuit("s510");
+  const Netlist& nl = circuit(state.range(0) == 0 ? "s510" : "s641");
   TpgOptions opts;
   opts.fault_sim.block_words = 4;
   opts.fault_sim.num_threads = 1;
+  TestSet ts;
   for (auto _ : state) {
-    const TestSet ts = generate_tests(nl, opts);
+    ts = generate_tests(nl, opts);
     benchmark::DoNotOptimize(ts.patterns.size());
   }
+  state.SetLabel(nl.name() + " untestable=" +
+                 std::to_string(ts.untestable_faults) +
+                 " aborted=" + std::to_string(ts.aborted_faults));
 }
-BENCHMARK(BM_TestGeneration)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TestGeneration)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One scan-power column on the s5378-like profile with 16 seeded random
 // patterns, evaluator construction included (the flow builds one per

@@ -73,6 +73,18 @@ Fault collapse_representative(const Netlist& nl, const Fault& f) {
   return f;
 }
 
+std::optional<Fault> dominating_output_fault(const Netlist& nl,
+                                             const Fault& f) {
+  if (f.pin < 0) return std::nullopt;
+  const GateType t = nl.type(f.gate);
+  const auto cv = controlling_value(t);
+  if (!cv || f.stuck_at == *cv) return std::nullopt;
+  // A test drives the faulted input to the controlling value and the
+  // others to non-controlling ones: the good output is the controlled
+  // value, the faulty one its opposite, exactly as under the output fault.
+  return Fault{f.gate, -1, !*controlled_output(t)};
+}
+
 Fault parse_fault(const Netlist& nl, const std::string& spec) {
   const std::size_t slash = spec.rfind('/');
   SP_CHECK(slash != std::string::npos && slash + 4 == spec.size() &&

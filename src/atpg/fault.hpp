@@ -8,6 +8,7 @@
 // controllable points are PIs + DFF outputs, observable points are POs +
 // DFF D pins.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,13 @@ std::vector<Fault> collapse_faults(const Netlist& nl);
 /// (identity for faults the collapsed list keeps). Diagnosis treats a
 /// candidate and its representative as the same defect.
 Fault collapse_representative(const Netlist& nl, const Fault& f);
+
+/// The output fault that every test of `f` also detects, when `f` is an
+/// input-pin fault stuck at its gate's non-controlling value (NAND input
+/// sa1, NOR input sa0, ...): the gate output stuck at the opposite of its
+/// controlled value. That fault dominates `f`, so if it is untestable, so
+/// is `f`. nullopt for every other fault.
+std::optional<Fault> dominating_output_fault(const Netlist& nl, const Fault& f);
 
 /// Parses the Fault::to_string form: "net/sa0" for a stem fault,
 /// "gate.in2/sa1" for an input-pin fault. Throws Error on unknown nets,

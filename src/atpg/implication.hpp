@@ -64,6 +64,7 @@ class ImplicationEngine {
   /// level first (ties by id). Only these gates can differ between the two
   /// machines. Empty when no fault is injected.
   const std::vector<GateId>& fault_cone() const { return cone_; }
+  bool in_fault_cone(GateId id) const { return in_cone_[id] != 0; }
 
  private:
   struct TrailEntry {

@@ -13,12 +13,21 @@
 // decision instead of re-simulating. The D-frontier is searched only in
 // the fanout cone of the fault site, once per search step.
 //
-// X-path check: a step whose D-frontier cannot reach an observable line
-// through gates that may still differ between the two machines is a dead
-// end. Values only get more specific as sources are assigned, so a gate
-// whose machines agree on a known value keeps blocking the effect and the
-// pruned subtree holds no test. The search visits the surviving nodes in
-// the same order, with no more backtracks.
+// X-path check: a step is a dead end when no line that may carry the
+// fault effect -- the D-frontier once the fault is activated, the fault
+// site before that -- reaches an observable line through gates that may
+// still differ between the two machines. Values only get more specific as
+// sources are assigned, so a gate whose machines agree on a known value
+// keeps blocking the effect and the pruned subtree holds no test. The
+// search visits the surviving nodes in the same order, with no more
+// backtracks.
+//
+// Learned constant lines (PodemOptions::constant_lines) only prune: a
+// fault whose activation line is constant at the stuck value is
+// untestable, and a cone gate with a fanin outside the cone that is
+// constant at the gate's controlling value blocks every X-path. They are
+// never written into the implied values, so objectives and backtraces --
+// and with them the patterns -- do not change.
 
 #include <optional>
 #include <span>
@@ -40,6 +49,10 @@ struct PodemOptions {
   /// counters (including the X-path dead ends, podem.xpath_prunes), added
   /// once per generate() call.
   Telemetry* telemetry = nullptr;
+  /// Learned constant lines (not owned; empty = none): one entry per gate,
+  /// the value the line holds under every source assignment or X
+  /// (learn_constant_lines). Must outlive the Podem.
+  std::span<const Logic> constant_lines;
 };
 
 enum class PodemStatus { Detected, Untestable, Aborted };
@@ -70,10 +83,17 @@ class Podem {
   /// Fills frontier_ with the cone gates that can still propagate the
   /// fault effect, deepest first (ties by id).
   void compute_d_frontier();
-  /// X-path check: true when some frontier_ gate reaches an observable
-  /// gate through cone gates whose two machines do not hold the same
-  /// known value.
-  bool x_path_exists();
+  /// True when the fault effect can never pass `g`: its two machines hold
+  /// the same known value, or a learned constant blocks it.
+  bool blocked(GateId g) const {
+    const Logic gv = imp_.good(g);
+    return (is_known(gv) && gv == imp_.faulty(g)) || const_blocked_[g];
+  }
+  /// Marks the cone gates a learned constant blocks for the current fault.
+  void mark_const_blocked();
+  /// X-path check: true when some unblocked gate of `from` reaches an
+  /// observable gate through unblocked cone gates.
+  bool x_path_exists(std::span<const GateId> from);
   /// Objective (line, value) to pursue next; nullopt = dead end.
   /// `frontier` is this step's D-frontier (read once the fault is
   /// activated).
@@ -103,6 +123,10 @@ class Podem {
   std::vector<std::uint32_t> xpath_mark_;
   std::uint32_t xpath_epoch_ = 0;
   std::vector<GateId> xpath_stack_;
+  // Cone gates blocked by a learned constant for the current fault, and
+  // the list that clears them at the next fault.
+  std::vector<std::uint8_t> const_blocked_;
+  std::vector<GateId> const_blocked_list_;
   std::vector<Decision> decisions_;
   int backtracks_ = 0;
   int xpath_prunes_ = 0;

@@ -1,7 +1,9 @@
 #include "atpg/tpg.hpp"
 
 #include <algorithm>
+#include <optional>
 
+#include "atpg/constant_lines.hpp"
 #include "atpg/fault_sim.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -10,6 +12,7 @@
 namespace scanpower {
 
 TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
+  Telemetry* telem = opts.fault_sim.telemetry;
   Rng rng(opts.seed);
   const std::vector<Fault> faults = collapse_faults(nl);
   FaultSimulator fsim(nl, opts.fault_sim);
@@ -25,6 +28,7 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
   std::size_t num_detected = 0;
 
   // ---- Phase 1: random patterns with fault dropping -------------------
+  std::optional<TraceSpan> phase(std::in_place, telem, "tpg.random");
   int dry_batches = 0;
   for (int batch = 0;
        batch < opts.max_random_batches &&
@@ -57,14 +61,33 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
                      ts.patterns.size()));
 
   // ---- Phase 2: PODEM top-off -----------------------------------------
+  // PODEM prunes with the lines learned constant, at its own backtrack
+  // budget per line. Learning draws nothing from `rng`.
+  std::vector<Logic> constants;
+  if (num_detected < faults.size()) {
+    phase.emplace(telem, "tpg.learn");
+    constants = learn_constant_lines(nl, opts.podem_backtrack_limit);
+    SP_TELEM_ADD(telem, 0, CounterId::kTpgConstantLines,
+                 std::count_if(constants.begin(), constants.end(),
+                               [](Logic v) { return is_known(v); }));
+  }
+  phase.emplace(telem, "tpg.podem");
   // Generated patterns are fault-simulated in block-wide batches: collateral
   // dropping within a batch is deferred (a handful of redundant PODEM
   // calls), which is far cheaper than one fault-sim pass per pattern on
   // large fault lists.
   PodemOptions popts;
   popts.backtrack_limit = opts.podem_backtrack_limit;
-  popts.telemetry = opts.fault_sim.telemetry;
+  popts.telemetry = telem;
+  popts.constant_lines = constants;
   Podem podem(nl, popts);
+  // Stem faults PODEM proved untestable, by (gate, stuck-at value): a pin
+  // fault they dominate is untestable too and skips PODEM.
+  std::vector<std::uint8_t> untestable_stem(2 * nl.num_gates(), 0);
+  const auto stem_slot = [](const Fault& f) {
+    return 2 * static_cast<std::size_t>(f.gate) + (f.stuck_at ? 1 : 0);
+  };
+  std::size_t inferred = 0;
   std::vector<TestPattern> batch;
   auto flush_batch = [&]() {
     if (batch.empty()) return;
@@ -78,9 +101,18 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
   };
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
     if (detected[fi]) continue;
+    if (const auto dom = dominating_output_fault(nl, faults[fi])) {
+      const Fault rep = collapse_representative(nl, *dom);
+      if (rep.pin < 0 && untestable_stem[stem_slot(rep)]) {
+        ts.untestable_faults++;
+        ++inferred;
+        continue;
+      }
+    }
     const PodemResult pr = podem.generate(faults[fi]);
     if (pr.status == PodemStatus::Untestable) {
       ts.untestable_faults++;
+      if (faults[fi].pin < 0) untestable_stem[stem_slot(faults[fi])] = 1;
       continue;
     }
     if (pr.status == PodemStatus::Aborted) {
@@ -93,6 +125,7 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
     if (batch.size() == block_patterns) flush_batch();
   }
   flush_batch();
+  SP_TELEM_ADD(telem, 0, CounterId::kTpgUntestableInferred, inferred);
   SP_LOG_INFO(strprintf(
       "tpg[%s]: after PODEM %zu/%zu faults (%zu untestable, %zu aborted), "
       "%zu patterns",
@@ -100,6 +133,7 @@ TestSet generate_tests(const Netlist& nl, const TpgOptions& opts) {
       ts.aborted_faults, ts.patterns.size()));
 
   // ---- Phase 3: reverse-order compaction -------------------------------
+  phase.emplace(telem, "tpg.compact");
   if (opts.compact && !ts.patterns.empty()) {
     std::vector<TestPattern> reversed(ts.patterns.rbegin(),
                                       ts.patterns.rend());

@@ -3,9 +3,10 @@
 // Patel, VTS'98], which the paper uses to produce its test vectors).
 //
 // Flow: collapsed fault list -> random phase with fault dropping ->
-// PODEM top-off for the remaining faults -> reverse-order fault-sim
-// compaction. Produces compact, fully specified pattern sets with the
-// coverage statistics reported alongside every experiment.
+// constant-line learning and PODEM top-off for the remaining faults ->
+// reverse-order fault-sim compaction. Produces compact, fully specified
+// pattern sets with the coverage statistics reported alongside every
+// experiment.
 
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
@@ -22,7 +23,8 @@ struct TpgOptions {
   int podem_backtrack_limit = 4000;
   bool compact = true;              ///< reverse-order compaction pass
   /// Packed-block width / worker threads. Its telemetry scope also
-  /// receives the podem.* counters: one scope per ATPG run.
+  /// receives the podem.* and tpg.* counters and the tpg.* phase spans:
+  /// one scope per ATPG run.
   FaultSimOptions fault_sim;
 };
 

@@ -89,22 +89,39 @@ std::pair<GateId, Logic> Justifier::backtrace(GateId node, bool value) {
 
 bool Justifier::justify(GateId node, bool value, int backtrack_limit) {
   int backtracks = 0;
-  const bool ok = search(node, value, backtrack_limit, backtracks);
+  const bool ok = search(node, value, backtrack_limit, backtracks) ==
+                  JustifyStatus::Justified;
+  if (ok) imp_.commit();
   SP_TELEM_ADD(telemetry_, 0, CounterId::kJustifyCalls, 1);
   SP_TELEM_ADD(telemetry_, 0, CounterId::kJustifyBacktracks, backtracks);
   return ok;
 }
 
-bool Justifier::search(GateId node, bool value, int backtrack_limit,
-                       int& backtracks) {
+JustifyStatus Justifier::probe(GateId node, bool value, int backtrack_limit) {
+  int backtracks = 0;
+  decisions_.clear();
+  const JustifyStatus status = search(node, value, backtrack_limit, backtracks);
+  // A failed search has already rolled back; a successful one leaves its
+  // decisions open above the empty trail of the committed state.
+  for (const Decision& d : decisions_) assign_[d.point] = Logic::X;
+  imp_.undo(0);
+  return status;
+}
+
+JustifyStatus Justifier::search(GateId node, bool value, int backtrack_limit,
+                                int& backtracks) {
   const Logic target = from_bool(value);
-  if (imp_.good(node) == target) return true;
-  if (imp_.good(node) != Logic::X) return false;  // contradicts commitments
-  if (!can_control_[node]) return false;
+  if (imp_.good(node) == target) return JustifyStatus::Justified;
+  // A known value contradicts the commitments; a line no controlled input
+  // reaches keeps its value.
+  if (imp_.good(node) != Logic::X || !can_control_[node]) {
+    return JustifyStatus::Unjustifiable;
+  }
 
   // The trail is empty between calls, so undoing the first decision of
   // this call restores exactly the committed state.
   decisions_.clear();
+  bool out_of_budget = false;
 
   // Flips the most recent unflipped decision of *this* call; false when
   // the local decision tree is exhausted (or the budget ran out), with
@@ -113,34 +130,38 @@ bool Justifier::search(GateId node, bool value, int backtrack_limit,
     while (!decisions_.empty()) {
       Decision& d = decisions_.back();
       imp_.undo(d.mark);
-      if (!d.flipped && backtracks < backtrack_limit) {
-        d.flipped = true;
-        d.value = logic_not(d.value);
-        assign_[d.point] = d.value;
-        imp_.assign(d.point, d.value);
-        ++backtracks;
-        return true;
+      if (!d.flipped) {
+        if (backtracks < backtrack_limit) {
+          d.flipped = true;
+          d.value = logic_not(d.value);
+          assign_[d.point] = d.value;
+          imp_.assign(d.point, d.value);
+          ++backtracks;
+          return true;
+        }
+        out_of_budget = true;
       }
       assign_[d.point] = Logic::X;
       decisions_.pop_back();
     }
     return false;
   };
+  const auto failed = [&] {
+    return out_of_budget ? JustifyStatus::Aborted
+                         : JustifyStatus::Unjustifiable;
+  };
 
   for (;;) {
-    if (imp_.good(node) == target) {  // commit
-      imp_.commit();
-      return true;
-    }
+    if (imp_.good(node) == target) return JustifyStatus::Justified;
     if (imp_.good(node) != Logic::X) {
-      if (!backtrack()) return false;
+      if (!backtrack()) return failed();
       continue;
     }
     // X: extend the assignment toward the objective.
     const auto [point, pv] = backtrace(node, value);
     if (point == kInvalidGate) {
       // No controllable X line supports the objective from here.
-      if (!backtrack()) return false;
+      if (!backtrack()) return failed();
       continue;
     }
     SP_ASSERT(assign_[point] == Logic::X,

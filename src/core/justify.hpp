@@ -30,6 +30,14 @@
 
 namespace scanpower {
 
+/// How a justification search ended. Unjustifiable means the search tree
+/// was exhausted. When every source is controllable that proves that no
+/// assignment of the free sources gives the line the value under the
+/// committed assignment; with uncontrolled sources a backtrace can also
+/// end a branch at a line only they drive. Aborted means the backtrack
+/// budget ran out first, which proves nothing.
+enum class JustifyStatus { Justified, Unjustifiable, Aborted };
+
 class Justifier {
  public:
   /// `controllable[g]` marks gates (must be Input/Dff) whose value the
@@ -42,6 +50,11 @@ class Justifier {
   /// Attempts to set line `node` to `value`. Commits on success; restores
   /// the previous state on failure. Returns success.
   bool justify(GateId node, bool value, int backtrack_limit = 500);
+
+  /// The same search as justify(), but it never commits: the state is
+  /// unchanged on return, and the result tells an exhausted search from a
+  /// budget abort. No justify.* counters are added.
+  JustifyStatus probe(GateId node, bool value, int backtrack_limit);
 
   /// Pre-assigns a controlled input (e.g. an externally chosen constant).
   /// Throws if it contradicts an earlier commitment.
@@ -70,8 +83,11 @@ class Justifier {
   };
 
   std::pair<GateId, Logic> backtrace(GateId node, bool value);
-  /// justify()'s decision search; adds its flips to `backtracks`.
-  bool search(GateId node, bool value, int backtrack_limit, int& backtracks);
+  /// The decision search behind justify() and probe(); adds its flips to
+  /// `backtracks`. On success the call's decisions stay open in
+  /// decisions_ and on the trail, for the caller to commit or undo.
+  JustifyStatus search(GateId node, bool value, int backtrack_limit,
+                       int& backtracks);
 
   const Netlist* nl_;
   std::vector<bool> controllable_;

@@ -27,6 +27,8 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "podem.xpath_prunes",
     "justify.calls",
     "justify.backtracks",
+    "tpg.constant_lines",
+    "tpg.untestable_inferred",
     "power_eval.calls",
     "power_eval.cycles",
     "backend.blocks_scalar",

@@ -66,6 +66,11 @@ enum class CounterId : int {
   kPodemXpathPrunes,   ///< search steps cut by the X-path check
   kJustifyCalls,
   kJustifyBacktracks,
+  // generate_tests, added once per run: lines learned constant, and faults
+  // proven untestable by dominance without calling PODEM. Like podem.*,
+  // invariant across thread counts.
+  kTpgConstantLines,
+  kTpgUntestableInferred,
   // scan-shift power evaluation, added once per evaluate() call (semantic)
   kPowerEvalCalls,
   kPowerEvalCycles,    ///< observed clock cycles evaluated

@@ -7,7 +7,8 @@
 // observable gate is still searched exhaustively. For every fault this
 // oracle does not abort, Podem must return the same status and pattern
 // with no more backtracks (PodemOracleRelation in tests/test_atpg.cpp).
-// Options and results are the library's; telemetry is ignored.
+// Options and results are the library's; telemetry and learned constant
+// lines are ignored.
 
 #include <optional>
 #include <span>

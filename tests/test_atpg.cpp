@@ -4,6 +4,7 @@
 
 #include "../bench/bench_common.hpp"
 #include "util/assert.hpp"
+#include "atpg/constant_lines.hpp"
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
 #include "atpg/packed_sim.hpp"
@@ -439,11 +440,12 @@ TEST(Tpg, WorksOnUnmappedCircuits) {
 // FindControlledInputPattern result stays byte-identical to the engine
 // that re-simulated the whole netlist after each decision. The hashes
 // below were recorded with that full-resimulation engine, except where
-// PODEM's X-path check moved them on purpose: it lowers backtrack counts
-// and resolves faults the search used to abort, so the per-fault PODEM
-// hashes of s344 and up and the s510 TestSet (aborted 4 -> 0, untestable
-// 548 -> 552, same patterns) were re-recorded with it.
-// PodemOracleRelation pins what the check may change.
+// PODEM's pruning moved them on purpose. The X-path check, and later its
+// fault-site form and the learned constant lines, lower backtrack counts
+// and resolve faults the search used to abort, so the per-fault PODEM
+// hashes of s344 and up were re-recorded with them, and the s510 TestSet
+// (aborted 4 -> 0, untestable 548 -> 552, same patterns) with the first.
+// PodemOracleRelation pins what the pruning may change.
 
 namespace scanpower {
 namespace {
@@ -475,14 +477,24 @@ FlowOptions golden_options(const Netlist& nl) {
   return benchtool::tuned_options(compute_stats(nl).num_comb_gates);
 }
 
-/// Per-fault PODEM results at the tuned backtrack limit: every collapsed
+/// PODEM as generate_tests runs it: the tuned backtrack limit, and the
+/// lines learned constant at that budget in `constants`.
+PodemOptions golden_podem_options(const Netlist& nl,
+                                  std::vector<Logic>& constants) {
+  PodemOptions popts;
+  popts.backtrack_limit = golden_options(nl).tpg.podem_backtrack_limit;
+  constants = learn_constant_lines(nl, popts.backtrack_limit);
+  popts.constant_lines = constants;
+  return popts;
+}
+
+/// Per-fault PODEM results as generate_tests runs it: every collapsed
 /// fault up to s510, a fixed-stride sample of at most 300 faults above.
 std::uint64_t podem_golden_hash(const std::string& name) {
   const Netlist nl = golden_circuit(name);
   const std::vector<Fault> faults = collapse_faults(nl);
-  PodemOptions popts;
-  popts.backtrack_limit = golden_options(nl).tpg.podem_backtrack_limit;
-  Podem podem(nl, popts);
+  std::vector<Logic> constants;
+  Podem podem(nl, golden_podem_options(nl, constants));
   static const std::size_t s510_gates = golden_circuit("s510").num_gates();
   const std::size_t stride =
       nl.num_gates() > s510_gates ? (faults.size() + 299) / 300 : 1;
@@ -496,22 +508,26 @@ std::uint64_t podem_golden_hash(const std::string& name) {
   return h.h;
 }
 
-/// The X-path check only cuts subtrees that hold no test. Against the
-/// search without it (the oracle), at the tuned backtrack limits: a fault
+/// The X-path check and the learned constants only cut subtrees that hold
+/// no test. Against the search without them (the oracle), at the tuned
+/// backtrack limits, for PODEM without and with learned constants: a fault
 /// the oracle resolves keeps its status and pattern, with no more
 /// backtracks; a fault the oracle aborts may be resolved, and a pattern
 /// found for it must detect it. Every collapsed fault up to s510, a
 /// fixed-stride sample of at most 300 faults above.
-TEST(PodemOracleRelation, XPathCheckKeepsEveryResolvedFault) {
+TEST(PodemOracleRelation, PrunesKeepEveryResolvedFault) {
   static const std::size_t s510_gates = golden_circuit("s510").num_gates();
   for (const char* name : {"s27", "s344", "s382", "s444", "s510", "s641",
                            "s713", "s1196", "s1238", "s1423", "s1494"}) {
     const Netlist nl = golden_circuit(name);
     const std::vector<Fault> faults = collapse_faults(nl);
-    PodemOptions popts;
-    popts.backtrack_limit = golden_options(nl).tpg.podem_backtrack_limit;
-    Podem podem(nl, popts);
-    oracle::PodemOracle reference(nl, popts);
+    std::vector<Logic> constants;
+    const PodemOptions learned = golden_podem_options(nl, constants);
+    PodemOptions plain = learned;
+    plain.constant_lines = {};
+    Podem podem_plain(nl, plain);
+    Podem podem_learned(nl, learned);
+    oracle::PodemOracle reference(nl, plain);
     const std::size_t stride =
         nl.num_gates() > s510_gates ? (faults.size() + 299) / 300 : 1;
     FaultSimulator fsim(nl);
@@ -519,18 +535,142 @@ TEST(PodemOracleRelation, XPathCheckKeepsEveryResolvedFault) {
     for (std::size_t i = 0; i < faults.size(); i += stride) {
       const Fault& f = faults[i];
       const PodemResult want = reference.generate(f);
-      const PodemResult got = podem.generate(f);
-      const std::string where = std::string(name) + " " + f.to_string(nl);
-      if (want.status != PodemStatus::Aborted) {
-        EXPECT_EQ(got.status, want.status) << where;
-        EXPECT_EQ(got.pattern.to_string(), want.pattern.to_string()) << where;
-        EXPECT_LE(got.backtracks, want.backtracks) << where;
-      } else if (got.status == PodemStatus::Detected) {
-        TestPattern p = got.pattern;
-        p.random_fill(rng);
-        const FaultSimResult sim = fsim.run(std::span<const TestPattern>(&p, 1),
-                                            std::span<const Fault>(&f, 1));
-        EXPECT_TRUE(sim.detected[0]) << where;
+      for (Podem* podem : {&podem_plain, &podem_learned}) {
+        const PodemResult got = podem->generate(f);
+        const std::string where = std::string(name) + " " + f.to_string(nl) +
+                                  (podem == &podem_plain ? "" : " (learned)");
+        if (want.status != PodemStatus::Aborted) {
+          EXPECT_EQ(got.status, want.status) << where;
+          EXPECT_EQ(got.pattern.to_string(), want.pattern.to_string())
+              << where;
+          EXPECT_LE(got.backtracks, want.backtracks) << where;
+        } else if (got.status == PodemStatus::Detected) {
+          TestPattern p = got.pattern;
+          p.random_fill(rng);
+          const FaultSimResult sim =
+              fsim.run(std::span<const TestPattern>(&p, 1),
+                       std::span<const Fault>(&f, 1));
+          EXPECT_TRUE(sim.detected[0]) << where;
+        }
+      }
+    }
+  }
+}
+
+/// For every line, which values it takes over all 2^n source assignments:
+/// bit 0 set if it takes 0, bit 1 if it takes 1. Sources are PIs then
+/// DFFs; the first six count within a word, the rest across words and
+/// sweeps (a lane past 2^n repeats an assignment, which is harmless).
+std::vector<std::uint8_t> exhaustive_value_sets(const Netlist& nl) {
+  std::vector<GateId> sources(nl.inputs());
+  sources.insert(sources.end(), nl.dffs().begin(), nl.dffs().end());
+  constexpr int kWords = 8;
+  constexpr PatternWord kLaneBits[6] = {
+      0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+      0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL};
+  BlockSimulator sim(nl, kWords);
+  std::vector<PatternWord> ones(nl.num_gates(), 0);
+  std::vector<PatternWord> zeros(nl.num_gates(), 0);
+  const std::uint64_t total = std::uint64_t{1} << sources.size();
+  for (std::uint64_t base = 0; base < total; base += 64 * kWords) {
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+      for (int w = 0; w < kWords; ++w) {
+        const std::uint64_t first = base + 64 * static_cast<std::uint64_t>(w);
+        sim.set_source_word(sources[k], w,
+                            k < 6 ? kLaneBits[k]
+                            : (first >> k) & 1 ? ~PatternWord{0}
+                                               : PatternWord{0});
+      }
+    }
+    sim.eval();
+    for (GateId g = 0; g < nl.num_gates(); ++g) {
+      for (int w = 0; w < kWords; ++w) {
+        ones[g] |= sim.word(g, w);
+        zeros[g] |= ~sim.word(g, w);
+      }
+    }
+  }
+  std::vector<std::uint8_t> sets(nl.num_gates(), 0);
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    sets[g] = static_cast<std::uint8_t>((zeros[g] != 0 ? 1 : 0) |
+                                        (ones[g] != 0 ? 2 : 0));
+  }
+  return sets;
+}
+
+/// Every learned constant holds under every source assignment, and on
+/// these profiles every line that is constant is learned at the tuned
+/// budget.
+TEST(ConstantLines, MatchExhaustiveSimulation) {
+  for (const char* name : {"s27", "s344", "s382", "s444", "s510"}) {
+    const Netlist nl = golden_circuit(name);
+    ASSERT_LE(nl.inputs().size() + nl.dffs().size(), 25u) << name;
+    const std::vector<Logic> constants = learn_constant_lines(
+        nl, golden_options(nl).tpg.podem_backtrack_limit);
+    ASSERT_EQ(constants.size(), nl.num_gates()) << name;
+    const std::vector<std::uint8_t> sets = exhaustive_value_sets(nl);
+    std::size_t learned = 0;
+    for (GateId g = 0; g < nl.num_gates(); ++g) {
+      const Logic want = sets[g] == 1   ? Logic::Zero
+                         : sets[g] == 2 ? Logic::One
+                                        : Logic::X;  // toggles
+      EXPECT_EQ(constants[g], want) << name << " " << nl.gate_name(g);
+      learned += is_known(constants[g]);
+    }
+    if (std::string(name) != "s27") {
+      EXPECT_GT(learned, 0u) << name;
+    }
+  }
+}
+
+/// A pin fault at its gate's non-controlling value is untestable when the
+/// output fault that dominates it is: checked for every such fault whose
+/// dominating fault PODEM proves untestable, against the oracle search.
+TEST(DominanceInference, InferredFaultsAreUntestable) {
+  std::size_t inferred = 0;
+  for (const char* name : {"s27", "s344", "s382", "s444", "s510"}) {
+    const Netlist nl = golden_circuit(name);
+    std::vector<Logic> constants;
+    const PodemOptions popts = golden_podem_options(nl, constants);
+    Podem podem(nl, popts);
+    // The oracle gets a larger budget: at the tuned one it aborts on one
+    // of these s510 faults.
+    PodemOptions exhaustive;
+    exhaustive.backtrack_limit = 1 << 20;
+    oracle::PodemOracle reference(nl, exhaustive);
+    for (const Fault& f : collapse_faults(nl)) {
+      const auto dom = dominating_output_fault(nl, f);
+      if (!dom) continue;
+      const Fault rep = collapse_representative(nl, *dom);
+      if (podem.generate(rep).status != PodemStatus::Untestable) continue;
+      ++inferred;
+      EXPECT_EQ(reference.generate(f).status, PodemStatus::Untestable)
+          << name << " " << f.to_string(nl);
+    }
+  }
+  EXPECT_GT(inferred, 0u);
+}
+
+/// Each fault's result depends on that fault alone: one long-lived Podem
+/// returns what a fresh one does, without and with learned constants.
+TEST(PodemHistory, ResultsIndependentOfEarlierFaults) {
+  for (const char* name : {"s27", "s344", "s510"}) {
+    const Netlist nl = golden_circuit(name);
+    const std::vector<Fault> faults = collapse_faults(nl);
+    std::vector<Logic> constants;
+    const PodemOptions learned = golden_podem_options(nl, constants);
+    PodemOptions plain = learned;
+    plain.constant_lines = {};
+    for (const PodemOptions& popts : {plain, learned}) {
+      Podem shared(nl, popts);
+      for (const Fault& f : faults) {
+        const PodemResult a = shared.generate(f);
+        const PodemResult b = Podem(nl, popts).generate(f);
+        const std::string where = std::string(name) + " " + f.to_string(nl) +
+                                  (popts.constant_lines.empty() ? "" : " (learned)");
+        EXPECT_EQ(a.status, b.status) << where;
+        EXPECT_EQ(a.backtracks, b.backtracks) << where;
+        EXPECT_EQ(a.pattern.to_string(), b.pattern.to_string()) << where;
       }
     }
   }
@@ -585,18 +725,18 @@ struct Golden {
 TEST(GoldenHash, PodemPerFaultResults) {
   const Golden expected[] = {
       {"s27", 0xce6f0488719147f0ULL},
-      {"s344", 0x9db76a7581bd82f3ULL},
-      {"s382", 0x1d7624547187b006ULL},
-      {"s444", 0x9b7cf6bf091314afULL},
-      {"s510", 0x50d62177998f78b3ULL},
-      {"s641", 0x1917003695fe8c87ULL},
-      {"s713", 0xe0afcf3c176e59deULL},
-      {"s1196", 0x7609e5884db44a65ULL},
-      {"s1238", 0x826c058797c148b2ULL},
-      {"s1423", 0x1695ebece52fea51ULL},
-      {"s1494", 0x8b6074a760faf115ULL},
-      {"s5378", 0x19c1a1fd15032082ULL},
-      {"s9234", 0x613baa5679bfbdbaULL},
+      {"s344", 0x8327eff87ae81eb3ULL},
+      {"s382", 0xf537e78d4676cf96ULL},
+      {"s444", 0x9c0f6349c70a3b22ULL},
+      {"s510", 0x770b26a6613e9504ULL},
+      {"s641", 0xaf1b7f9ed8f16d43ULL},
+      {"s713", 0x39923a75b3953e79ULL},
+      {"s1196", 0x85e3e463a889ebe6ULL},
+      {"s1238", 0xb3dd480bbb611983ULL},
+      {"s1423", 0xe46697ed24def5d8ULL},
+      {"s1494", 0x6d14982f1d1ded81ULL},
+      {"s5378", 0x0a4e8e3eb0b70e56ULL},
+      {"s9234", 0xe537e222cc686d1cULL},
   };
   for (const Golden& g : expected) {
     EXPECT_EQ(hex64(podem_golden_hash(g.circuit)), hex64(g.hash)) << g.circuit;

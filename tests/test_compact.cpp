@@ -66,7 +66,9 @@ TEST(MisrTest, DefaultPolynomialsAreValid) {
     const std::uint64_t poly = default_misr_poly(width);
     ASSERT_NE(poly, 0u) << width;
     EXPECT_TRUE((poly >> (width - 1)) & 1) << width;  // invertible register
-    if (width < 64) EXPECT_EQ(poly >> width, 0u) << width;
+    if (width < 64) {
+      EXPECT_EQ(poly >> width, 0u) << width;
+    }
     (void)Misr(MisrConfig{.width = width});  // must validate
   }
   EXPECT_THROW(Misr(MisrConfig{.width = 3}), Error);

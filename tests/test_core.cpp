@@ -75,6 +75,33 @@ TEST(Justify, FailureRestoresState) {
   EXPECT_TRUE(j.justify(nl.find("g"), false));
 }
 
+TEST(Justify, ProbeNeverCommitsAndTellsExhaustionFromAbort) {
+  NetlistBuilder b("j");
+  b.add_input("a");
+  b.add_input("c");
+  b.add_gate(GateType::Not, "n", {"a"});
+  b.add_gate(GateType::And, "g", {"a", "n"});  // g == 0 always
+  b.add_gate(GateType::Or, "h", {"a", "c"});
+  b.add_output("g");
+  b.add_output("h");
+  const Netlist nl = b.link();
+  Justifier j(nl, all_sources_controllable(nl));
+  // g = 1 needs one flip to exhaust: a budget of 0 proves nothing.
+  EXPECT_EQ(j.probe(nl.find("g"), true, 0), JustifyStatus::Aborted);
+  EXPECT_EQ(j.probe(nl.find("g"), true, 1), JustifyStatus::Unjustifiable);
+  EXPECT_EQ(j.probe(nl.find("h"), true, 10), JustifyStatus::Justified);
+  for (GateId id = 0; id < nl.num_gates(); ++id) {
+    EXPECT_EQ(j.assignment()[id], Logic::X) << nl.gate_name(id);
+  }
+  EXPECT_EQ(j.value(nl.find("h")), Logic::X);
+  // Probes respect commitments and leave them in place.
+  ASSERT_TRUE(j.justify(nl.find("h"), false));  // a = c = 0
+  EXPECT_EQ(j.probe(nl.find("h"), true, 10), JustifyStatus::Unjustifiable);
+  EXPECT_EQ(j.probe(nl.find("h"), false, 10), JustifyStatus::Justified);
+  EXPECT_EQ(j.value(nl.find("h")), Logic::Zero);
+  EXPECT_EQ(j.assignment()[nl.find("a")], Logic::Zero);
+}
+
 TEST(Justify, NonControlledSourcesStayX) {
   const Netlist nl = make_s27();
   Justifier j(nl, pis_only(nl));

@@ -398,7 +398,6 @@ TEST(DiagnoseTest, EarlyExitPreservesTheWinner) {
     EXPECT_EQ(a.ranked[0].fault, b.ranked[0].fault);
     EXPECT_EQ(a.ranked[0].tfsf, b.ranked[0].tfsf);
     EXPECT_EQ(a.ranked[0].hamming(), b.ranked[0].hamming());
-    const std::uint64_t best = b.ranked[0].hamming();
     for (std::size_t i = 0; i < a.ranked.size(); ++i) {
       if (!a.ranked[i].dropped) continue;
       // Every following candidate is dropped too (they sort last)...

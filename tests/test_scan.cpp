@@ -155,8 +155,6 @@ TEST(ScanSim, ChainEndsWithShiftedPattern) {
   // applies exactly (test.pi, test.ppi), so next-states must match a
   // direct functional simulation.
   const Netlist nl = map_to_nand_nor_inv(make_s27());
-  const LeakageModel leak;
-  const CapacitanceModel caps;
   Rng rng(71);
   TestSet ts;
   for (int i = 0; i < 4; ++i) ts.patterns.push_back(random_pattern(nl, rng));

@@ -270,7 +270,9 @@ TEST(ScanPower, EveryCellMultiplexed) {
                     "all muxed x=" + std::to_string(with_x) +
                         " capture=" + std::to_string(capture));
       // Constants everywhere during shift: only capture cycles toggle.
-      if (!capture) EXPECT_EQ(r.dynamic_per_hz_uw, 0.0);
+      if (!capture) {
+        EXPECT_EQ(r.dynamic_per_hz_uw, 0.0);
+      }
     }
   }
 }

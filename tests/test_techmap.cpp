@@ -6,6 +6,7 @@
 #include "sim/simulator.hpp"
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace scanpower {
 namespace {
@@ -139,7 +140,7 @@ TEST_P(TechmapWidthTest, WideGatesSplitCorrectly) {
     NetlistBuilder b("wide");
     std::vector<std::string> ins;
     for (int i = 0; i < width; ++i) {
-      ins.push_back("i" + std::to_string(i));
+      ins.push_back(strprintf("i%d", i));
       b.add_input(ins.back());
     }
     b.add_gate(t, "y", ins);

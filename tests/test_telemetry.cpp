@@ -1,6 +1,6 @@
 // Telemetry: metrics registry, phase tracing, and the determinism contract.
 //
-// Four property groups:
+// Property groups:
 //  1. Registry mechanics -- shard merge, gauges, histogram bucketing,
 //     reset, and text/JSON serialization.
 //  2. Counter determinism -- semantic counters are invariant across every
@@ -13,11 +13,13 @@
 //  4. Tracing -- spans nest correctly per shard, the Chrome trace_event
 //     export is well-formed JSON, and enabling telemetry never perturbs
 //     rankings (byte-identical with a scope attached vs nullptr).
-//  5. Test generation -- the podem.* counters equal the TestSet's
+//  5. Test generation -- the podem.* counters, with the faults
+//     tpg.untestable_inferred proves without PODEM, equal the TestSet's
 //     outcome tallies in every (block_words, num_threads) configuration;
-//     they are invariant across thread counts (the TestSet itself depends
-//     on block_words), justify.* across every configuration; attaching a
-//     scope never changes a TestSet or a FindControlledInputPattern
+//     they and tpg.* are invariant across thread counts (the TestSet
+//     itself depends on block_words), justify.* across every
+//     configuration; generate_tests traces one span per phase; attaching
+//     a scope never changes a TestSet or a FindControlledInputPattern
 //     result.
 //  6. Scan-power evaluation -- power_eval.calls / power_eval.cycles are
 //     added once per evaluation: run_flow adds 3 calls and the three
@@ -48,6 +50,7 @@
 #include "techmap/techmap.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanpower {
@@ -381,6 +384,31 @@ TEST(TraceRecorderTest, SpansNestAndExportIsWellFormed) {
   EXPECT_TRUE(session.telemetry().trace.events().empty());
 }
 
+TEST(TraceRecorderTest, TestGenerationPhasesAreSpans) {
+  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
+  Telemetry telem;
+  telem.trace.set_enabled(true);
+  TpgOptions opts;
+  opts.fault_sim.telemetry = &telem;
+  (void)generate_tests(nl, opts);
+  // One span per phase, in flow order, one after the other.
+  const char* const phases[] = {"tpg.random", "tpg.learn", "tpg.podem",
+                                "tpg.compact"};
+  const std::vector<TraceEvent> evs = telem.trace.events();
+  std::uint64_t prev_end = 0;
+  for (const char* phase : phases) {
+    std::vector<TraceEvent> found;
+    for (const TraceEvent& e : evs) {
+      if (std::string(phase) == e.name) found.push_back(e);
+    }
+    ASSERT_EQ(found.size(), 1u) << phase;
+    EXPECT_EQ(found[0].depth, 0) << phase;
+    EXPECT_GE(found[0].start_us, prev_end) << phase;
+    prev_end = found[0].start_us + found[0].dur_us;
+  }
+}
+
 TEST(TraceRecorderTest, DisabledRecorderStaysEmpty) {
   const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
   const auto pats = random_patterns(nl, 32, 0x50ff);
@@ -435,6 +463,7 @@ const CounterId kTpgCounters[] = {
     CounterId::kPodemDetected,  CounterId::kPodemUntestable,
     CounterId::kPodemAborted,   CounterId::kPodemXpathPrunes,
     CounterId::kJustifyCalls,   CounterId::kJustifyBacktracks,
+    CounterId::kTpgConstantLines, CounterId::kTpgUntestableInferred,
 };
 
 /// A tight PODEM budget so s344 ends with all three outcomes.
@@ -459,12 +488,16 @@ TEST(TelemetryTpgCountersTest, PodemCountersMatchTestSetAcrossConfigs) {
     session.run_flow();
     const TestSet& ts = session.tests();
     const MetricsSnapshot m = session.metrics();
-    const std::string cfg =
-        "(" + std::to_string(c.w) + "," + std::to_string(c.t) + ")";
-    EXPECT_EQ(m.counter(CounterId::kPodemUntestable), ts.untestable_faults)
+    const std::string cfg = strprintf("(%d,%d)", c.w, c.t);
+    // A fault is proven untestable either by PODEM or by dominance,
+    // without a PODEM call.
+    const std::uint64_t inferred =
+        m.counter(CounterId::kTpgUntestableInferred);
+    EXPECT_EQ(m.counter(CounterId::kPodemUntestable) + inferred,
+              ts.untestable_faults)
         << cfg;
     EXPECT_EQ(m.counter(CounterId::kPodemAborted), ts.aborted_faults) << cfg;
-    EXPECT_EQ(m.counter(CounterId::kPodemCalls),
+    EXPECT_EQ(m.counter(CounterId::kPodemCalls) + inferred,
               m.counter(CounterId::kPodemDetected) + ts.untestable_faults +
                   ts.aborted_faults)
         << cfg;
@@ -473,6 +506,8 @@ TEST(TelemetryTpgCountersTest, PodemCountersMatchTestSetAcrossConfigs) {
     EXPECT_GT(ts.aborted_faults, 0u) << cfg;
     EXPECT_GT(m.counter(CounterId::kPodemBacktracks), 0u) << cfg;
     EXPECT_GT(m.counter(CounterId::kPodemXpathPrunes), 0u) << cfg;
+    EXPECT_GT(m.counter(CounterId::kTpgConstantLines), 0u) << cfg;
+    EXPECT_GT(inferred, 0u) << cfg;
     EXPECT_GT(m.counter(CounterId::kJustifyCalls), 0u) << cfg;
     snaps.push_back(m);
   }
@@ -527,7 +562,9 @@ TEST(TelemetryNeutralityTest, TestSetsAndPatternsIdenticalWithAndWithoutScope) {
 
   if (kTelemetryEnabled) {
     const MetricsSnapshot m = telem.metrics.snapshot();
-    EXPECT_EQ(m.counter(CounterId::kPodemUntestable), ts_on.untestable_faults);
+    EXPECT_EQ(m.counter(CounterId::kPodemUntestable) +
+                  m.counter(CounterId::kTpgUntestableInferred),
+              ts_on.untestable_faults);
     EXPECT_EQ(m.counter(CounterId::kPodemAborted), ts_on.aborted_faults);
     EXPECT_GT(m.counter(CounterId::kJustifyCalls), 0u);
   }
@@ -551,8 +588,7 @@ TEST(TelemetryPowerEvalTest, CountersFollowEvaluationsAcrossConfigs) {
   std::vector<std::uint64_t> flow_cycles;
   std::vector<MetricsSnapshot> fixed_snaps;
   for (const Cfg& c : cfgs) {
-    const std::string cfg =
-        "(" + std::to_string(c.w) + "," + std::to_string(c.t) + ")";
+    const std::string cfg = strprintf("(%d,%d)", c.w, c.t);
     ScanSession flow(Netlist(nl), tpg_counter_options(c.w, c.t));
     const FlowResult r = flow.run_flow();
     const MetricsSnapshot m = flow.metrics();
