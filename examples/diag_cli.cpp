@@ -319,6 +319,7 @@ int main(int argc, char** argv) {
   MisrConfig misr;
   NoiseOptions nopts;
   DiagnosisOptions dopts;
+  std::size_t top = 10;
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
     if (cli::value_flag(argc, argv, i, "--log", v)) {
@@ -362,7 +363,7 @@ int main(int argc, char** argv) {
     } else if (cli::value_flag(argc, argv, i, "--top-set",
                                dopts.max_multiplets)) {
       dopts.multiplets = dopts.max_multiplets > 0;
-    } else if (cli::value_flag(argc, argv, i, "--top", dopts.max_report)) {
+    } else if (cli::value_flag(argc, argv, i, "--top", top)) {
     } else if (cli::value_flag(argc, argv, i, "--json", json_path)) {
     } else if (cli::value_flag(argc, argv, i, "--trace", trace_path)) {
     } else if (cli::flag(argv, i, "--metrics")) {
@@ -590,8 +591,7 @@ int main(int argc, char** argv) {
                     "undetected by this pattern set?)\n",
                     sources[i].c_str());
       } else {
-        print_result(design, sources[i], evidence[i], results[i],
-                     dopts.max_report);
+        print_result(design, sources[i], evidence[i], results[i], top);
       }
     }
 
@@ -603,7 +603,7 @@ int main(int argc, char** argv) {
       if (array) j.begin_array();
       for (std::size_t i = 0; i < results.size(); ++i) {
         json_result(j, design, dopts, sources[i], evidence[i], results[i],
-                    num_patterns, dopts.max_report, noise ? &nopts : nullptr,
+                    num_patterns, top, noise ? &nopts : nullptr,
                     noise ? &noise_stats[i] : nullptr);
       }
       if (array) j.end_array();

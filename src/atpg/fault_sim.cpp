@@ -213,7 +213,7 @@ FaultSimResult FaultSimulator::run(std::span<const TestPattern> patterns,
                              static_cast<std::int64_t>(good.backend()));
     telem->metrics.add(0, backend_blocks_counter(good.backend()), num_blocks);
     for (std::size_t t = 0; t < workers_.size(); ++t) {
-      flush_sweep_stats(telem, static_cast<int>(t), workers_[t].eval);
+      add_sweep_stats(telem, static_cast<int>(t), workers_[t].eval.take_stats());
     }
   }
   return res;

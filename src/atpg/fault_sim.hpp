@@ -192,13 +192,22 @@ inline void add_sweep_stats(Telemetry* t, int shard,
   t->metrics.add(shard, CounterId::kSweepAborts, s.aborts);
 }
 
-/// Flushes one evaluator's sweep tallies into a telemetry scope (and resets
-/// them). Callers flush their workers serially in ascending worker order.
-inline void flush_sweep_stats(Telemetry* t, int shard,
-                              FaultConeEvaluator& eval) {
-  if constexpr (!kTelemetryEnabled) return;
-  if (t == nullptr) return;
-  add_sweep_stats(t, shard, eval.take_stats());
+/// Drains the evaluators' sweep tallies in ascending order -- evaluator i
+/// into shard first_shard + i of `t` -- and returns their sum (one
+/// query's sweeps when every evaluator served only that query).
+inline FaultConeEvaluator::SweepStats drain_sweep_stats(
+    Telemetry* t, std::span<FaultConeEvaluator> evals, int first_shard = 0) {
+  FaultConeEvaluator::SweepStats tot;
+  for (std::size_t i = 0; i < evals.size(); ++i) {
+    const FaultConeEvaluator::SweepStats s = evals[i].take_stats();
+    tot.calls += s.calls;
+    tot.unexcited += s.unexcited;
+    tot.cone_gates += s.cone_gates;
+    tot.active_gates += s.active_gates;
+    tot.aborts += s.aborts;
+    add_sweep_stats(t, first_shard + static_cast<int>(i), s);
+  }
+  return tot;
 }
 
 // ---- FaultConeEvaluator::propagate (template body) -------------------------

@@ -1,6 +1,7 @@
 #include "compact/compact_diag.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/assert.hpp"
 
@@ -22,75 +23,39 @@ void check_signature_log(std::span<const TestPattern> patterns,
 
 }  // namespace
 
-/// Per-worker mutable state for the parallel candidate sweep. Each
-/// candidate's predicted response diff is collected into `diff` (only
-/// rows the cone sweep actually reached are written, tracked in `dirty`
-/// so clearing is sparse), compacted into `diff_sigs`, and matched
-/// against the log's window signatures.
-struct SignatureDiagnoser::Worker {
-  FaultConeEvaluator eval;
+/// Per-worker scratch for the parallel candidate sweep (the cone-sweep
+/// evaluators live in the engine state). Each candidate's predicted
+/// response diff is collected into `diff` (only rows the cone sweep
+/// actually reached are written, tracked in `dirty` so clearing is
+/// sparse), compacted into `diff_sigs`, and matched against the log's
+/// window signatures. Cache-line aligned: workers sit side by side in one
+/// vector and each grows its own `dirty` mid-sweep.
+struct alignas(64) SignatureDiagnoser::Worker {
   std::vector<PatternWord> diff;          ///< num_points * words_per_point
   std::vector<std::uint32_t> dirty;       ///< rows written for this candidate
   std::vector<std::uint8_t> dirty_mark;   ///< per row
   std::vector<std::uint64_t> diff_sigs;   ///< per window
-  std::unique_ptr<BlockSimulator> stream; ///< streaming good machine (only
-                                          ///< when blocks are not cached)
+  std::unique_ptr<BlockSimulator> stream; ///< good-block streaming scratch
 };
 
 SignatureDiagnoser::SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts)
-    : nl_(&nl), opts_(opts) {
-  SP_CHECK(nl.finalized(), "SignatureDiagnoser requires a finalized netlist");
-  check_block_words("SignatureDiagnoser", "block_words", opts_.block_words);
-  opts_.num_threads = ThreadPool::resolve_threads(opts_.num_threads);
-  owned_points_ = std::make_unique<ObservationPoints>(nl);
-  owned_cones_ = std::make_unique<ObservationConeCache>(nl, *owned_points_);
-  owned_goods_ = std::make_unique<GoodBlockCache>();
-  owned_pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
-  points_ = owned_points_.get();
-  cones_ = owned_cones_.get();
-  goods_ = owned_goods_.get();
-  pool_ = owned_pool_.get();
-  workers_.resize(static_cast<std::size_t>(pool_->size()));
-  for (auto& w : workers_) {
-    w = std::make_unique<Worker>();
-    w->eval.init(nl, opts_.block_words, opts_.backend);
-  }
-}
+    : opts_(opts), eng_(nl, "SignatureDiagnoser", opts_),
+      workers_(eng_.evals.size()) {}
 
 SignatureDiagnoser::SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts,
                                        ThreadPool& pool,
                                        const ObservationPoints& points,
                                        ObservationConeCache& cones,
                                        GoodBlockCache& goods)
-    : nl_(&nl), opts_(opts), points_(&points), cones_(&cones), goods_(&goods),
-      pool_(&pool) {
-  SP_CHECK(nl.finalized(), "SignatureDiagnoser requires a finalized netlist");
-  check_block_words("SignatureDiagnoser", "block_words", opts_.block_words);
-  opts_.num_threads = pool.size();
-  workers_.resize(static_cast<std::size_t>(pool_->size()));
-  for (auto& w : workers_) {
-    w = std::make_unique<Worker>();
-    w->eval.init(nl, opts_.block_words, opts_.backend);
-  }
-}
+    : opts_(opts),
+      eng_(nl, "SignatureDiagnoser", opts_, pool, points, cones, goods),
+      workers_(eng_.evals.size()) {}
 
 SignatureDiagnoser::~SignatureDiagnoser() = default;
-
-void SignatureDiagnoser::ensure_goods(std::span<const TestPattern> patterns) {
-  if (owned_goods_) {
-    goods_->bind(*nl_, patterns, opts_.block_words,
-                 GoodBlockCache::kDefaultMaxCachedBlocks, opts_.backend);
-    return;
-  }
-  SP_CHECK(goods_->bound_to(patterns, opts_.block_words),
-           "diagnose: the shared good-block cache is bound to a different "
-           "pattern set (bind the session to these patterns first)");
-}
 
 std::vector<std::uint32_t> SignatureDiagnoser::prune_candidates(
     std::span<const Fault> faults, const SignatureLog& log,
     const XMaskPlan& plan) {
-  const Netlist& nl = *nl_;
   // A failing window names no failing point, so the candidate must lie in
   // the union of every unmasked point's cone for that window. Distinct
   // unmasked sets are deduplicated before intersecting; without X-masking
@@ -100,7 +65,7 @@ std::vector<std::uint32_t> SignatureDiagnoser::prune_candidates(
   for (std::size_t w = 0; w < log.num_windows(); ++w) {
     if (!log.window_fails(w)) continue;
     std::vector<std::uint32_t> ops;
-    for (std::size_t op = 0; op < points_->size(); ++op) {
+    for (std::size_t op = 0; op < eng_.points->size(); ++op) {
       if (!plan.masked(op, w)) ops.push_back(static_cast<std::uint32_t>(op));
     }
     op_sets.push_back(std::move(ops));
@@ -108,7 +73,7 @@ std::vector<std::uint32_t> SignatureDiagnoser::prune_candidates(
   std::sort(op_sets.begin(), op_sets.end());
   op_sets.erase(std::unique(op_sets.begin(), op_sets.end()), op_sets.end());
 
-  return prune_by_cone_unions(nl, *cones_, faults, op_sets);
+  return prune_by_cone_unions(*eng_.nl, *eng_.cones, faults, op_sets);
 }
 
 template <int W>
@@ -117,13 +82,13 @@ void SignatureDiagnoser::score_candidates(
     std::span<const std::uint32_t> candidates, const SignatureLog& log,
     const XMaskPlan& plan, const MisrCompactor& compactor,
     std::vector<CandidateScore>& scores) {
-  const Netlist& nl = *nl_;
-  const GoodBlockCache& goods = *goods_;
+  const ObservationPoints& points = *eng_.points;
+  const GoodBlockCache& goods = *eng_.goods;
   const std::size_t lanes = static_cast<std::size_t>(W) * 64;
   const std::size_t nblocks = goods.num_blocks();
   const std::size_t wpp = (patterns.size() + 63) / 64;
   const std::size_t nwin = log.num_windows();
-  const int num_workers = pool_->size();
+  const std::size_t num_workers = eng_.evals.size();
 
   std::vector<std::uint64_t> obs_diff(nwin);
   std::uint64_t num_failing = 0;
@@ -138,41 +103,29 @@ void SignatureDiagnoser::score_candidates(
   // count) configuration. Good-machine blocks come from the shared cache;
   // past its cap each worker streams them through its own simulator (the
   // values are identical either way).
-  pool_->run_on_all([&](int t) {
-    Worker& wk = *workers_[static_cast<std::size_t>(t)];
-    wk.diff.assign(points_->size() * wpp, 0);
+  eng_.pool->run_on_all([&](int t) {
+    Worker& wk = workers_[static_cast<std::size_t>(t)];
+    FaultConeEvaluator& ev = eng_.evals[static_cast<std::size_t>(t)];
+    wk.diff.assign(points.size() * wpp, 0);
     wk.dirty.clear();
-    wk.dirty_mark.assign(points_->size(), 0);
+    wk.dirty_mark.assign(points.size(), 0);
     wk.diff_sigs.assign(nwin, 0);
-    if (!goods.cached() && !wk.stream) {
-      wk.stream = std::make_unique<BlockSimulator>(nl, W, opts_.backend);
-    }
     for (std::size_t ci = static_cast<std::size_t>(t); ci < candidates.size();
-         ci += static_cast<std::size_t>(num_workers)) {
+         ci += num_workers) {
       CandidateScore& sc = scores[ci];
       const Fault& f = faults[candidates[ci]];
-      // A D-branch fault sinks its DFF gate id as the capture branch; a
-      // Q-stem fault sinks the same id meaning the Q net (read by
-      // downstream points).
-      const bool d_branch = f.pin >= 0 && nl.type(f.gate) == GateType::Dff;
       bool any = false;
       for (std::size_t b = 0; b < nblocks; ++b) {
         const std::size_t base = b * lanes;
         const std::size_t batch = std::min(lanes, patterns.size() - base);
-        const BlockSimulator* good;
-        if (goods.cached()) {
-          good = &goods.block(b);
-        } else {
-          goods.stream(b, *wk.stream);
-          good = wk.stream.get();
-        }
+        const BlockSimulator& good = goods.fetch(b, wk.stream);
         const PackedBlock<W> mask = lane_validity_mask<W>(batch);
         const std::size_t word0 = base / 64;
         const std::size_t nwords = (batch + 63) / 64;
-        wk.eval.propagate<W>(
-            *good, f, mask, points_->observable(),
+        ev.propagate<W>(
+            good, f, mask, points.observable(),
             [&](GateId gate, const PatternWord* diff) {
-              const auto record = [&](std::uint32_t op) {
+              points.for_each_sink_point(f, gate, [&](std::uint32_t op) {
                 PatternWord* row = wk.diff.data() + op * wpp + word0;
                 for (std::size_t w = 0; w < nwords; ++w) row[w] = diff[w];
                 if (!wk.dirty_mark[op]) {
@@ -180,14 +133,7 @@ void SignatureDiagnoser::score_candidates(
                   wk.dirty.push_back(op);
                 }
                 any = true;
-              };
-              if (d_branch && gate == f.gate) {
-                record(static_cast<std::uint32_t>(points_->point_of_dff(gate)));
-              } else {
-                for (std::uint32_t op : points_->points_of_gate(gate)) {
-                  record(op);
-                }
-              }
+              });
             });
       }
       if (!any) {
@@ -195,7 +141,7 @@ void SignatureDiagnoser::score_candidates(
         sc.tfsp = num_failing;
         continue;
       }
-      compactor.compact_rows(wk.diff, points_->size(), patterns.size(), &plan,
+      compactor.compact_rows(wk.diff, points.size(), patterns.size(), &plan,
                              wk.diff_sigs);
       for (std::size_t w = 0; w < nwin; ++w) {
         const std::uint64_t d = wk.diff_sigs[w];
@@ -231,12 +177,12 @@ DiagnosisResult SignatureDiagnoser::diagnose(
   // machine -- the per-call state a ScanSession caches per MISR
   // configuration and feeds to diagnose_with() directly.
   const MisrCompactor compactor(log.misr, opts_.block_words);
-  const XMaskPlan plan(*nl_, *points_, patterns, log.misr.window,
+  const XMaskPlan plan(*eng_.nl, *eng_.points, patterns, log.misr.window,
                        opts_.block_words, opts_.backend);
   const std::vector<TestPattern> filled = zero_filled_patterns(patterns);
   const std::span<const TestPattern> sim_patterns =
       filled.empty() ? patterns : std::span<const TestPattern>(filled);
-  ResponseCapture capture(*nl_, opts_.block_words, opts_.backend);
+  ResponseCapture capture(*eng_.nl, opts_.block_words, opts_.backend);
   const ResponseMatrix good = capture.capture_good(sim_patterns);
   const std::vector<std::uint64_t> expected = compactor.compact(good, &plan);
 
@@ -255,16 +201,12 @@ DiagnosisResult SignatureDiagnoser::diagnose_with(
                       log.expected.end()),
            "diagnose: signature log's expected signatures do not match the "
            "good machine (wrong pattern set or MISR configuration?)");
-  ensure_goods(patterns);
+  eng_.ensure_goods(patterns, opts_);
 
   Telemetry* const telem = opts_.telemetry;
   DiagnosisResult res;
   std::uint64_t total_us = 0;
-  std::uint64_t cone_h0 = 0, cone_m0 = 0;
-  if constexpr (kTelemetryEnabled) {
-    cone_h0 = cones_->hits();
-    cone_m0 = cones_->misses();
-  }
+  const DiagnosisEngine::ConeMark cones0 = eng_.cone_mark();
   {
     TraceSpan span_all(telem, "compact_diagnose", 0, CounterId::kCount,
                        &total_us);
@@ -284,9 +226,7 @@ DiagnosisResult SignatureDiagnoser::diagnose_with(
         candidates = prune_candidates(faults, log, plan);
       } else {
         candidates.resize(faults.size());
-        for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-          candidates[fi] = static_cast<std::uint32_t>(fi);
-        }
+        std::iota(candidates.begin(), candidates.end(), 0u);
       }
     }
     res.num_candidates = candidates.size();
@@ -310,21 +250,12 @@ DiagnosisResult SignatureDiagnoser::diagnose_with(
     res.ranked = std::move(scores);
 
     if constexpr (kTelemetryEnabled) {
-      FaultConeEvaluator::SweepStats tot;
-      for (std::size_t t = 0; t < workers_.size(); ++t) {
-        const FaultConeEvaluator::SweepStats s = workers_[t]->eval.take_stats();
-        tot.calls += s.calls;
-        tot.unexcited += s.unexcited;
-        tot.cone_gates += s.cone_gates;
-        tot.active_gates += s.active_gates;
-        tot.aborts += s.aborts;
-        add_sweep_stats(telem, static_cast<int>(t), s);
-      }
-      res.stats.sweep_calls = tot.calls;
-      res.stats.sweep_aborts = tot.aborts;
-      res.stats.cone_cache_hits = cones_->hits() - cone_h0;
-      res.stats.cone_cache_misses = cones_->misses() - cone_m0;
+      const FaultConeEvaluator::SweepStats s =
+          drain_sweep_stats(telem, eng_.evals);
+      res.stats.sweep_calls = s.calls;
+      res.stats.sweep_aborts = s.aborts;
     }
+    eng_.store_cone_lookups(cones0, res.stats);
   }
   if constexpr (kTelemetryEnabled) {
     if (telem != nullptr) {

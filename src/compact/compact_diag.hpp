@@ -33,7 +33,6 @@
 // sets are deduplicated before intersecting; without X-masking all
 // windows share one union and the back-trace runs once.
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -52,25 +51,23 @@ namespace scanpower {
 
 class SignatureDiagnoser {
  public:
-  /// Standalone: builds a private worker pool, observation-point space,
-  /// cone cache and good-block cache, and rebuilds the X-mask plan plus
-  /// expected signatures on every diagnose() call. Takes the
-  /// engine knobs from DiagnosisOptions (block_words, num_threads,
-  /// cone_pruning, max_report); the MISR configuration comes from the
-  /// diagnosed log. score_early_exit does not apply -- window counters
-  /// are too coarse for a sound mid-sweep bound -- and is ignored.
+  /// Standalone: owns its engine state (DiagnosisEngine) and rebuilds
+  /// the X-mask plan plus expected signatures on every diagnose() call.
+  /// Takes the engine knobs from DiagnosisOptions (block_words,
+  /// num_threads, backend, cone_pruning); the MISR configuration comes
+  /// from the diagnosed log. score_early_exit does not apply -- window
+  /// counters are too coarse for a sound mid-sweep bound -- and is ignored.
   explicit SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts = {});
-  /// Borrowing: shares a ScanSession's pool, point space, cone cache and
-  /// good-block cache; the session also caches (X-mask plan, expected
-  /// signatures) per MISR configuration and hands them to
-  /// diagnose_with(). opts.num_threads is superseded by the pool's size.
+  /// Borrowing: shares a ScanSession's engine state; the session also
+  /// caches (X-mask plan, expected signatures) per MISR configuration and
+  /// hands them to diagnose_with().
   SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts,
                      ThreadPool& pool, const ObservationPoints& points,
                      ObservationConeCache& cones, GoodBlockCache& goods);
   ~SignatureDiagnoser();
 
   const DiagnosisOptions& options() const { return opts_; }
-  const ObservationPoints& points() const { return *points_; }
+  const ObservationPoints& points() const { return *eng_.points; }
 
   /// Scores `faults` against a compacted signature log under `patterns`
   /// (the set the log was recorded for; X bits allowed -- they are
@@ -95,7 +92,6 @@ class SignatureDiagnoser {
  private:
   struct Worker;
 
-  void ensure_goods(std::span<const TestPattern> patterns);
   std::vector<std::uint32_t> prune_candidates(std::span<const Fault> faults,
                                               const SignatureLog& log,
                                               const XMaskPlan& plan);
@@ -108,19 +104,9 @@ class SignatureDiagnoser {
                         const MisrCompactor& compactor,
                         std::vector<CandidateScore>& scores);
 
-  const Netlist* nl_;
   DiagnosisOptions opts_;
-  // Owned engine state (standalone construction only; null when borrowed).
-  std::unique_ptr<ObservationPoints> owned_points_;
-  std::unique_ptr<ObservationConeCache> owned_cones_;
-  std::unique_ptr<GoodBlockCache> owned_goods_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  // Borrowed-or-owned views used by all engine code.
-  const ObservationPoints* points_ = nullptr;
-  ObservationConeCache* cones_ = nullptr;
-  GoodBlockCache* goods_ = nullptr;
-  ThreadPool* pool_ = nullptr;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  DiagnosisEngine eng_;
+  std::vector<Worker> workers_;  ///< scoring scratch, one per pool worker
 };
 
 }  // namespace scanpower

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <numeric>
+#include <string>
 
 #include "util/assert.hpp"
 
@@ -47,59 +49,74 @@ std::vector<std::uint32_t> prune_by_cone_unions(
   return candidates;
 }
 
-Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts)
-    : nl_(&nl), opts_(opts) {
-  SP_CHECK(nl.finalized(), "Diagnoser requires a finalized netlist");
-  check_block_words("diagnose", "block_words", opts_.block_words);
-  opts_.num_threads = ThreadPool::resolve_threads(opts_.num_threads);
+namespace {
+
+void check_engine_inputs(const Netlist& nl, const char* who,
+                         const DiagnosisOptions& opts) {
+  SP_CHECK(nl.finalized(),
+           std::string(who) + " requires a finalized netlist");
+  check_block_words(who, "block_words", opts.block_words);
+}
+
+}  // namespace
+
+DiagnosisEngine::DiagnosisEngine(const Netlist& nl, const char* who,
+                                 DiagnosisOptions& opts)
+    : nl(&nl) {
+  check_engine_inputs(nl, who, opts);
+  owned_pool_ = std::make_unique<ThreadPool>(opts.num_threads);
   owned_points_ = std::make_unique<ObservationPoints>(nl);
   owned_cones_ = std::make_unique<ObservationConeCache>(nl, *owned_points_);
   owned_goods_ = std::make_unique<GoodBlockCache>();
-  owned_pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
-  points_ = owned_points_.get();
-  cones_ = owned_cones_.get();
-  goods_ = owned_goods_.get();
-  pool_ = owned_pool_.get();
-  workers_.resize(static_cast<std::size_t>(pool_->size()));
-  for (FaultConeEvaluator& w : workers_) {
-    w.init(nl, opts_.block_words, opts_.backend);
+  pool = owned_pool_.get();
+  points = owned_points_.get();
+  cones = owned_cones_.get();
+  goods = owned_goods_.get();
+  init_evals(opts);
+}
+
+DiagnosisEngine::DiagnosisEngine(const Netlist& nl, const char* who,
+                                 DiagnosisOptions& opts, ThreadPool& pool,
+                                 const ObservationPoints& points,
+                                 ObservationConeCache& cones,
+                                 GoodBlockCache& goods)
+    : nl(&nl), pool(&pool), points(&points), cones(&cones), goods(&goods) {
+  check_engine_inputs(nl, who, opts);
+  init_evals(opts);
+}
+
+void DiagnosisEngine::init_evals(DiagnosisOptions& opts) {
+  opts.num_threads = pool->size();
+  evals.resize(static_cast<std::size_t>(pool->size()));
+  for (FaultConeEvaluator& ev : evals) {
+    ev.init(*nl, opts.block_words, opts.backend);
   }
 }
 
-Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts, ThreadPool& pool,
-                     const ObservationPoints& points,
-                     ObservationConeCache& cones, GoodBlockCache& goods)
-    : nl_(&nl), opts_(opts), points_(&points), cones_(&cones), goods_(&goods),
-      pool_(&pool) {
-  SP_CHECK(nl.finalized(), "Diagnoser requires a finalized netlist");
-  check_block_words("diagnose", "block_words", opts_.block_words);
-  opts_.num_threads = pool.size();
-  workers_.resize(static_cast<std::size_t>(pool_->size()));
-  for (FaultConeEvaluator& w : workers_) {
-    w.init(nl, opts_.block_words, opts_.backend);
-  }
-}
-
-Diagnoser::~Diagnoser() = default;
-
-void Diagnoser::ensure_goods(std::span<const TestPattern> patterns) {
+void DiagnosisEngine::ensure_goods(std::span<const TestPattern> patterns,
+                                   const DiagnosisOptions& opts) {
   if (owned_goods_) {
-    // Standalone: rebuild the good machine per call, the one-shot cost the
-    // session API amortizes away. The cache cap stays at this engine's
-    // historical 64 blocks -- a throwaway binding should not hold the
-    // session-sized 256-block footprint.
-    goods_->bind(*nl_, patterns, opts_.block_words, /*max_cached_blocks=*/64,
-                 opts_.backend);
+    goods->bind(*nl, patterns, opts.block_words,
+                GoodBlockCache::kDefaultMaxCachedBlocks, opts.backend);
     return;
   }
-  SP_CHECK(goods_->bound_to(patterns, opts_.block_words),
+  SP_CHECK(goods->bound_to(patterns, opts.block_words),
            "diagnose: the shared good-block cache is bound to a different "
            "pattern set (bind the session to these patterns first)");
 }
 
+Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts)
+    : opts_(opts), eng_(nl, "Diagnoser", opts_) {}
+
+Diagnoser::Diagnoser(const Netlist& nl, DiagnosisOptions opts, ThreadPool& pool,
+                     const ObservationPoints& points,
+                     ObservationConeCache& cones, GoodBlockCache& goods)
+    : opts_(opts), eng_(nl, "Diagnoser", opts_, pool, points, cones, goods) {}
+
+Diagnoser::~Diagnoser() = default;
+
 std::vector<std::uint32_t> Diagnoser::prune_candidates(
     std::span<const Fault> faults, const FailureLog& log, PruneMode mode) {
-  const Netlist& nl = *nl_;
   std::vector<std::vector<std::uint32_t>> op_sets;
   if (mode == PruneMode::kUnion) {
     // Noise-recovery fallback: one set holding every failing point. A
@@ -129,7 +146,7 @@ std::vector<std::uint32_t> Diagnoser::prune_candidates(
     op_sets.erase(std::unique(op_sets.begin(), op_sets.end()), op_sets.end());
   }
 
-  return prune_by_cone_unions(nl, *cones_, faults, op_sets);
+  return prune_by_cone_unions(*eng_.nl, *eng_.cones, faults, op_sets);
 }
 
 Diagnoser::Prepared Diagnoser::prepare(std::span<const TestPattern> patterns,
@@ -143,7 +160,7 @@ Diagnoser::Prepared Diagnoser::prepare(std::span<const TestPattern> patterns,
   p.log = &log;
   p.res.num_faults = faults.size();
 
-  p.observed = log.to_matrix(points_->size());
+  p.observed = log.to_matrix(eng_.points->size());
   p.total_fail = p.observed.popcount();
   p.res.num_failures = static_cast<std::size_t>(p.total_fail);
   {
@@ -164,9 +181,7 @@ Diagnoser::Prepared Diagnoser::prepare(std::span<const TestPattern> patterns,
     p.candidates = prune_candidates(faults, log, mode);
   } else {
     p.candidates.resize(faults.size());
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      p.candidates[fi] = static_cast<std::uint32_t>(fi);
-    }
+    std::iota(p.candidates.begin(), p.candidates.end(), 0u);
   }
   p.res.num_candidates = p.candidates.size();
 
@@ -175,6 +190,20 @@ Diagnoser::Prepared Diagnoser::prepare(std::span<const TestPattern> patterns,
     p.scores[ci].fault = faults[p.candidates[ci]];
     p.scores[ci].fault_index = p.candidates[ci];
   }
+  return p;
+}
+
+Diagnoser::Prepared Diagnoser::prepare_log(
+    std::span<const TestPattern> patterns, std::span<const Fault> faults,
+    const FailureLog& log) {
+  std::uint64_t prune_us = 0;
+  Prepared p;
+  {
+    TraceSpan span(opts_.telemetry, "prune", 0, CounterId::kDiagPruneUs,
+                   &prune_us);
+    p = prepare(patterns, faults, log, PruneMode::kIntersect);
+  }
+  p.res.stats.prune_us = prune_us;
   return p;
 }
 
@@ -194,17 +223,49 @@ void Diagnoser::finalize(Prepared& p) {
 }
 
 template <int W>
+void Diagnoser::run_log(std::span<const TestPattern> patterns,
+                        std::span<const Fault> faults, Prepared& p, int worker,
+                        std::unique_ptr<BlockSimulator>& stream) {
+  Telemetry* const telem = opts_.telemetry;
+  const int shard = worker == kPool ? 0 : worker;
+  {
+    TraceSpan span(telem, "score", shard, CounterId::kDiagScoreUs,
+                   &p.res.stats.score_us);
+    score_candidates<W>(faults, p, worker, stream);
+  }
+  finalize(p);
+  {
+    TraceSpan span(telem, "cover", shard, CounterId::kDiagCoverUs,
+                   &p.res.stats.cover_us);
+    recover_noise<W>(patterns, faults, p, worker, stream);
+  }
+  if constexpr (kTelemetryEnabled) {
+    // Every query drains every evaluator it ran on, so tallies always
+    // start at zero: the pool schedule drains all workers in ascending
+    // order, a log scored wholly in one worker drains just that one.
+    std::span<FaultConeEvaluator> evals(eng_.evals);
+    if (worker != kPool) {
+      evals = evals.subspan(static_cast<std::size_t>(worker), 1);
+    }
+    const FaultConeEvaluator::SweepStats s =
+        drain_sweep_stats(telem, evals, shard);
+    p.res.stats.sweep_calls = s.calls;
+    p.res.stats.sweep_aborts = s.aborts;
+  }
+}
+
+template <int W>
 void Diagnoser::score_candidate_block(FaultConeEvaluator& ev,
                                       CandidateScore& sc, const Fault& f,
                                       const BlockSimulator& good,
                                       std::size_t block,
                                       const ResponseMatrix& observed,
                                       bool early_exit, std::uint64_t best) {
-  const Netlist& nl = *nl_;
-  const std::size_t lanes = goods_->lanes();
+  const ObservationPoints& points = *eng_.points;
+  const std::size_t lanes = eng_.goods->lanes();
   const std::size_t base = block * lanes;
   const std::size_t batch =
-      std::min(lanes, goods_->patterns().size() - base);
+      std::min(lanes, eng_.goods->patterns().size() - base);
   const PackedBlock<W> mask = lane_validity_mask<W>(batch);
   const std::size_t word0 = base / 64;
   const std::size_t nwords = (batch + 63) / 64;
@@ -219,14 +280,10 @@ void Diagnoser::score_candidate_block(FaultConeEvaluator& ev,
   const std::uint64_t bound =
       best > std::numeric_limits<std::uint64_t>::max() - tol ? best
                                                              : best + tol;
-  // A D-branch fault sinks its DFF gate id as the capture branch; a
-  // Q-stem fault sinks the same id meaning the Q net, which is read by
-  // downstream capture points / its PO point.
-  const bool d_branch = f.pin >= 0 && nl.type(f.gate) == GateType::Dff;
   ev.propagate<W>(
-      good, f, mask, points_->observable(),
+      good, f, mask, points.observable(),
       [&](GateId gate, const PatternWord* diff) -> bool {
-        const auto tally = [&](std::uint32_t op) {
+        points.for_each_sink_point(f, gate, [&](std::uint32_t op) {
           const PatternWord* obs = observed.row(op) + word0;
           for (std::size_t w = 0; w < nwords; ++w) {
             sc.tfsf += static_cast<std::uint64_t>(
@@ -234,104 +291,57 @@ void Diagnoser::score_candidate_block(FaultConeEvaluator& ev,
             sc.tpsf += static_cast<std::uint64_t>(
                 std::popcount(diff[w] & ~obs[w]));
           }
-        };
-        if (d_branch && gate == f.gate) {
-          tally(static_cast<std::uint32_t>(points_->point_of_dff(gate)));
-        } else {
-          for (std::uint32_t op : points_->points_of_gate(gate)) {
-            tally(op);
-          }
-        }
+        });
         return !(early_exit && sc.tpsf > bound);
       });
   if (early_exit && sc.tpsf > bound) sc.dropped = true;
 }
 
 template <int W>
-void Diagnoser::score_candidates(std::span<const Fault> faults, Prepared& p) {
-  const GoodBlockCache& goods = *goods_;
-  const int num_workers = pool_->size();
+void Diagnoser::score_candidates(std::span<const Fault> faults, Prepared& p,
+                                 int worker,
+                                 std::unique_ptr<BlockSimulator>& stream) {
+  const GoodBlockCache& goods = *eng_.goods;
   const bool early_exit = opts_.score_early_exit;
 
-  // Candidates are scored in fixed-size rounds (in candidate order,
-  // round-robin across workers within a round, so each score slot has
-  // exactly one writer). The early-exit bound -- the best Hamming
-  // distance among fully scored candidates -- advances only at round
-  // boundaries; a candidate whose running TPSF exceeds it can never win
-  // (TPSF only grows), so its cone sweep aborts and its remaining blocks
-  // are skipped. Both the bound and the abort test depend only on
-  // per-candidate totals, never on block partitioning or scheduling, so
-  // the dropped set is bit-identical across (block width, thread count)
-  // configurations.
+  // Candidates are scored in fixed-size rounds, in candidate order. The
+  // early-exit bound -- the best Hamming distance among fully scored
+  // candidates -- advances only at round boundaries; a candidate whose
+  // running TPSF exceeds it can never win (TPSF only grows), so its cone
+  // sweep aborts and its remaining blocks are skipped. Both the bound and
+  // the abort test depend only on per-candidate totals, never on block
+  // partitioning or on who scores a candidate, so the dropped set is
+  // bit-identical across (block width, thread count) configurations and
+  // across the two schedules: the pool (candidates of a round
+  // round-robin across workers, so each score slot has exactly one
+  // writer) or one given worker.
   const std::size_t round_size =
       early_exit ? 64 : std::max<std::size_t>(p.candidates.size(), 1);
   std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
 
-  // Streaming scratch for pattern sets past the cache cap; the cached and
-  // streamed values are identical, so so is the ranking.
-  std::unique_ptr<BlockSimulator> stream;
-  if (!goods.cached()) {
-    stream = std::make_unique<BlockSimulator>(*nl_, W, opts_.backend);
-  }
-
   for (std::size_t r0 = 0; r0 < p.candidates.size(); r0 += round_size) {
     const std::size_t r1 = std::min(r0 + round_size, p.candidates.size());
     for (std::size_t b = 0; b < goods.num_blocks(); ++b) {
-      const BlockSimulator* good;
-      if (goods.cached()) {
-        good = &goods.block(b);
-      } else {
-        goods.stream(b, *stream);
-        good = stream.get();
-      }
-      pool_->run_on_all([&](int t) {
-        FaultConeEvaluator& ev = workers_[static_cast<std::size_t>(t)];
-        for (std::size_t ci = r0 + static_cast<std::size_t>(t); ci < r1;
-             ci += static_cast<std::size_t>(num_workers)) {
+      const BlockSimulator& good = goods.fetch(b, stream);
+      // Worker t scores every `stride`-th candidate of the round from
+      // `first` on.
+      const auto score_slice = [&](int t, std::size_t first,
+                                   std::size_t stride) {
+        FaultConeEvaluator& ev = eng_.evals[static_cast<std::size_t>(t)];
+        for (std::size_t ci = first; ci < r1; ci += stride) {
           CandidateScore& sc = p.scores[ci];
           if (sc.dropped) continue;
-          score_candidate_block<W>(ev, sc, faults[p.candidates[ci]], *good, b,
+          score_candidate_block<W>(ev, sc, faults[p.candidates[ci]], good, b,
                                    p.observed, early_exit, best);
         }
-      });
-    }
-    for (std::size_t ci = r0; ci < r1; ++ci) {
-      if (p.scores[ci].dropped) continue;
-      best = std::min(best, p.total_fail - p.scores[ci].tfsf +
-                                p.scores[ci].tpsf);
-    }
-  }
-}
-
-template <int W>
-void Diagnoser::score_log_serial(int worker, std::span<const Fault> faults,
-                                 Prepared& p, BlockSimulator* stream) {
-  const GoodBlockCache& goods = *goods_;
-  const bool early_exit = opts_.score_early_exit;
-  // Identical round structure and per-candidate block order to the
-  // pool-parallel path: the dropped set and every counter depend only on
-  // per-candidate totals at block/round boundaries, so a log scored
-  // serially by one worker is bit-identical to diagnose()'s result.
-  const std::size_t round_size =
-      early_exit ? 64 : std::max<std::size_t>(p.candidates.size(), 1);
-  std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-  FaultConeEvaluator& ev = workers_[static_cast<std::size_t>(worker)];
-
-  for (std::size_t r0 = 0; r0 < p.candidates.size(); r0 += round_size) {
-    const std::size_t r1 = std::min(r0 + round_size, p.candidates.size());
-    for (std::size_t b = 0; b < goods.num_blocks(); ++b) {
-      const BlockSimulator* good;
-      if (goods.cached()) {
-        good = &goods.block(b);
+      };
+      if (worker == kPool) {
+        const std::size_t stride = eng_.evals.size();
+        eng_.pool->run_on_all([&](int t) {
+          score_slice(t, r0 + static_cast<std::size_t>(t), stride);
+        });
       } else {
-        goods.stream(b, *stream);
-        good = stream;
-      }
-      for (std::size_t ci = r0; ci < r1; ++ci) {
-        CandidateScore& sc = p.scores[ci];
-        if (sc.dropped) continue;
-        score_candidate_block<W>(ev, sc, faults[p.candidates[ci]], *good, b,
-                                 p.observed, early_exit, best);
+        score_slice(worker, r0, 1);
       }
     }
     for (std::size_t ci = r0; ci < r1; ++ci) {
@@ -343,10 +353,10 @@ void Diagnoser::score_log_serial(int worker, std::span<const Fault> faults,
 }
 
 template <int W>
-void Diagnoser::recover_noise(int worker,
-                              std::span<const TestPattern> patterns,
+void Diagnoser::recover_noise(std::span<const TestPattern> patterns,
                               std::span<const Fault> faults, Prepared& p,
-                              BlockSimulator* stream, bool serial) {
+                              int worker,
+                              std::unique_ptr<BlockSimulator>& stream) {
   if (!opts_.multiplets || p.total_fail == 0) return;
   if (!p.res.ranked.empty() && !p.res.ranked.front().dropped &&
       p.res.ranked.front().tfsp <= opts_.noise_tolerance) {
@@ -359,11 +369,7 @@ void Diagnoser::recover_noise(int worker,
     Prepared u = prepare(patterns, faults, *p.log, PruneMode::kUnion);
     if (u.candidates.size() != p.candidates.size()) {
       // The union candidate set is a strict superset -- rescore over it.
-      if (serial) {
-        score_log_serial<W>(worker, faults, u, stream);
-      } else {
-        score_candidates<W>(faults, u);
-      }
+      score_candidates<W>(faults, u, worker, stream);
       finalize(u);
       u.res.union_fallback = true;
       // The rescored result replaces the original; carry the query's
@@ -373,26 +379,27 @@ void Diagnoser::recover_noise(int worker,
       p = std::move(u);
     }
   }
-  build_multiplets<W>(worker, faults, p, stream);
+  // On the pool schedule the pool has joined, so worker 0's evaluator is
+  // free and the cover replays on the calling thread.
+  build_multiplets<W>(worker == kPool ? 0 : worker, p, stream);
 }
 
 template <int W>
-void Diagnoser::build_multiplets(int worker, std::span<const Fault> faults,
-                                 Prepared& p, BlockSimulator* stream) {
-  (void)faults;
+void Diagnoser::build_multiplets(int worker, Prepared& p,
+                                 std::unique_ptr<BlockSimulator>& stream) {
   DiagnosisResult& res = p.res;
   res.multiplets.clear();
   if (res.ranked.empty() || p.total_fail == 0) return;
 
-  const Netlist& nl = *nl_;
-  const GoodBlockCache& goods = *goods_;
+  const ObservationPoints& points = *eng_.points;
+  const GoodBlockCache& goods = *eng_.goods;
   const std::size_t wpp = p.observed.words_per_point();
   constexpr std::uint32_t kNoFop = static_cast<std::uint32_t>(-1);
 
   // Failing-pattern lane mask and a dense index over failing points.
   std::vector<PatternWord> fail_mask(wpp, 0);
   std::vector<std::uint32_t> fops;
-  std::vector<std::uint32_t> fop_dense(points_->size(), kNoFop);
+  std::vector<std::uint32_t> fop_dense(points.size(), kNoFop);
   for (const Failure& f : p.log->failures) {
     fail_mask[f.pattern / 64] |= PatternWord{1} << (f.pattern % 64);
     if (fop_dense[f.op] == kNoFop) {
@@ -410,12 +417,7 @@ void Diagnoser::build_multiplets(int worker, std::span<const Fault> faults,
   }
   if (shortlist == 0) return;
 
-  std::unique_ptr<BlockSimulator> local_stream;
-  if (!goods.cached() && stream == nullptr) {
-    local_stream = std::make_unique<BlockSimulator>(nl, W, opts_.backend);
-    stream = local_stream.get();
-  }
-  FaultConeEvaluator& ev = workers_[static_cast<std::size_t>(worker)];
+  FaultConeEvaluator& ev = eng_.evals[static_cast<std::size_t>(worker)];
   const std::size_t lanes = goods.lanes();
 
   // Per-candidate predictions: `preds[k]` holds the candidate's predicted
@@ -436,15 +438,8 @@ void Diagnoser::build_multiplets(int worker, std::span<const Fault> faults,
     offm[k].assign(wpp, PatternWord{0});
     PatternWord* pred = preds[k].data();
     PatternWord* mismatch = offm[k].data();
-    const bool d_branch = f.pin >= 0 && nl.type(f.gate) == GateType::Dff;
     for (std::size_t b = 0; b < goods.num_blocks(); ++b) {
-      const BlockSimulator* good;
-      if (goods.cached()) {
-        good = &goods.block(b);
-      } else {
-        goods.stream(b, *stream);
-        good = stream;
-      }
+      const BlockSimulator& good = goods.fetch(b, stream);
       const std::size_t base = b * lanes;
       const std::size_t batch =
           std::min(lanes, goods.patterns().size() - base);
@@ -452,9 +447,9 @@ void Diagnoser::build_multiplets(int worker, std::span<const Fault> faults,
       const std::size_t word0 = base / 64;
       const std::size_t nwords = (batch + 63) / 64;
       ev.propagate<W>(
-          *good, f, mask, points_->observable(),
+          good, f, mask, points.observable(),
           [&](GateId gate, const PatternWord* diff) {
-            const auto record = [&](std::uint32_t op) {
+            points.for_each_sink_point(f, gate, [&](std::uint32_t op) {
               const std::uint32_t di = fop_dense[op];
               if (di != kNoFop) {
                 PatternWord* row = pred + di * wpp + word0;
@@ -464,14 +459,7 @@ void Diagnoser::build_multiplets(int worker, std::span<const Fault> faults,
                   mismatch[word0 + w] |= diff[w];
                 }
               }
-            };
-            if (d_branch && gate == f.gate) {
-              record(static_cast<std::uint32_t>(points_->point_of_dff(gate)));
-            } else {
-              for (std::uint32_t op : points_->points_of_gate(gate)) {
-                record(op);
-              }
-            }
+            });
           });
     }
   }
@@ -577,87 +565,47 @@ void Diagnoser::build_multiplets(int worker, std::span<const Fault> faults,
   for (std::size_t i : order) res.multiplets.push_back(std::move(sets[i]));
 }
 
+void Diagnoser::count_query(const DiagnosisResult& r,
+                            const std::uint64_t* latency_us) const {
+  if constexpr (kTelemetryEnabled) {
+    Telemetry* const telem = opts_.telemetry;
+    if (telem == nullptr) return;
+    telem->metrics.add(0, CounterId::kDiagQueries, 1);
+    telem->metrics.add(0, CounterId::kDiagCandidates, r.num_candidates);
+    telem->metrics.add(0, CounterId::kDiagDropped, r.num_dropped);
+    if (r.union_fallback) {
+      telem->metrics.add(0, CounterId::kDiagUnionFallbacks, 1);
+    }
+    telem->metrics.add(0, CounterId::kDiagMultiplets, r.multiplets.size());
+    if (latency_us != nullptr) {
+      telem->metrics.record_hist(HistId::kDiagnoseUs, *latency_us);
+    }
+  }
+}
+
 DiagnosisResult Diagnoser::diagnose(std::span<const TestPattern> patterns,
                                     std::span<const Fault> faults,
                                     const FailureLog& log) {
-  Telemetry* const telem = opts_.telemetry;
-  DiagnosisResult out;
   std::uint64_t total_us = 0;
-  std::uint64_t cone_h0 = 0, cone_m0 = 0;
-  if constexpr (kTelemetryEnabled) {
-    cone_h0 = cones_->hits();
-    cone_m0 = cones_->misses();
-  }
+  Prepared p;
   {
-    TraceSpan span_all(telem, "diagnose", 0, CounterId::kCount, &total_us);
+    TraceSpan span_all(opts_.telemetry, "diagnose", 0, CounterId::kCount,
+                       &total_us);
+    const DiagnosisEngine::ConeMark cones0 = eng_.cone_mark();
     // Validate + prune before ensure_goods: a malformed log must fail fast,
     // not after a full good-machine rebuild (standalone mode).
-    Prepared p;
-    {
-      TraceSpan span(telem, "prune", 0, CounterId::kDiagPruneUs,
-                     &p.res.stats.prune_us);
-      p = prepare(patterns, faults, log, PruneMode::kIntersect);
-    }
-    ensure_goods(patterns);
-
-    const auto run = [&]<int W>(std::integral_constant<int, W>) {
-      {
-        TraceSpan span(telem, "score", 0, CounterId::kDiagScoreUs,
-                       &p.res.stats.score_us);
-        score_candidates<W>(faults, p);
-      }
-      finalize(p);
-      // Worker 0's evaluator is free again (run_on_all has joined), so the
-      // recovery stages replay on the caller thread.
-      std::unique_ptr<BlockSimulator> stream;
-      if (!goods_->cached()) {
-        stream = std::make_unique<BlockSimulator>(*nl_, W, opts_.backend);
-      }
-      {
-        TraceSpan span(telem, "cover", 0, CounterId::kDiagCoverUs,
-                       &p.res.stats.cover_us);
-        recover_noise<W>(0, patterns, faults, p, stream.get(),
-                         /*serial=*/false);
-      }
-    };
-    dispatch_block_words(opts_.block_words, run);
-
-    if constexpr (kTelemetryEnabled) {
-      // Drain the workers' sweep tallies in ascending order: the per-query
-      // totals go on the result, the per-shard values into the registry.
-      // Every query drains every worker, so tallies always start at zero.
-      FaultConeEvaluator::SweepStats tot;
-      for (std::size_t t = 0; t < workers_.size(); ++t) {
-        const FaultConeEvaluator::SweepStats s = workers_[t].take_stats();
-        tot.calls += s.calls;
-        tot.unexcited += s.unexcited;
-        tot.cone_gates += s.cone_gates;
-        tot.active_gates += s.active_gates;
-        tot.aborts += s.aborts;
-        add_sweep_stats(telem, static_cast<int>(t), s);
-      }
-      p.res.stats.sweep_calls = tot.calls;
-      p.res.stats.sweep_aborts = tot.aborts;
-      // Serial wrt the cone cache (scoring never touches it), so the
-      // deltas are exactly this query's lookups.
-      p.res.stats.cone_cache_hits = cones_->hits() - cone_h0;
-      p.res.stats.cone_cache_misses = cones_->misses() - cone_m0;
-    }
-    out = std::move(p.res);
+    p = prepare_log(patterns, faults, log);
+    eng_.ensure_goods(patterns, opts_);
+    std::unique_ptr<BlockSimulator> stream;
+    dispatch_block_words(opts_.block_words, [&](auto w) {
+      run_log<decltype(w)::value>(patterns, faults, p, kPool, stream);
+    });
+    // Serial wrt the cone cache (scoring never touches it), so the deltas
+    // are exactly this query's lookups.
+    eng_.store_cone_lookups(cones0, p.res.stats);
   }
-  if constexpr (kTelemetryEnabled) {
-    if (telem != nullptr) {
-      telem->metrics.add(0, CounterId::kDiagQueries, 1);
-      telem->metrics.add(0, CounterId::kDiagCandidates, out.num_candidates);
-      telem->metrics.add(0, CounterId::kDiagDropped, out.num_dropped);
-      if (out.union_fallback) {
-        telem->metrics.add(0, CounterId::kDiagUnionFallbacks, 1);
-      }
-      telem->metrics.add(0, CounterId::kDiagMultiplets, out.multiplets.size());
-      telem->metrics.record_hist(HistId::kDiagnoseUs, total_us);
-    }
-  }
-  return out;
+  count_query(p.res, &total_us);
+  return std::move(p.res);
 }
 
 std::vector<DiagnosisResult> Diagnoser::diagnose_batch(
@@ -672,8 +620,7 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_batch(
     return one;
   }
 
-  Telemetry* const telem = opts_.telemetry;
-  TraceSpan span_batch(telem, "diagnose_batch", 0);
+  TraceSpan span_batch(opts_.telemetry, "diagnose_batch", 0);
 
   // Serial phase: validation, observed matrices and cone pruning (the
   // cone cache builds lazily, so it must not be touched concurrently).
@@ -683,85 +630,30 @@ std::vector<DiagnosisResult> Diagnoser::diagnose_batch(
   std::vector<Prepared> prepared;
   prepared.reserve(logs.size());
   for (const FailureLog* log : logs) {
-    std::uint64_t cone_h0 = 0, cone_m0 = 0;
-    if constexpr (kTelemetryEnabled) {
-      cone_h0 = cones_->hits();
-      cone_m0 = cones_->misses();
-    }
-    std::uint64_t prune_us = 0;
-    {
-      TraceSpan span(telem, "prune", 0, CounterId::kDiagPruneUs, &prune_us);
-      prepared.push_back(
-          prepare(patterns, faults, *log, PruneMode::kIntersect));
-    }
-    if constexpr (kTelemetryEnabled) {
-      DiagnosisStats& st = prepared.back().res.stats;
-      st.prune_us = prune_us;
-      st.cone_cache_hits = cones_->hits() - cone_h0;
-      st.cone_cache_misses = cones_->misses() - cone_m0;
-    }
+    const DiagnosisEngine::ConeMark cones0 = eng_.cone_mark();
+    prepared.push_back(prepare_log(patterns, faults, *log));
+    eng_.store_cone_lookups(cones0, prepared.back().res.stats);
   }
-  ensure_goods(patterns);
+  eng_.ensure_goods(patterns, opts_);
 
-  // Parallel phase: logs round-robin across the pool, each scored,
-  // finalized and noise-recovered wholly within one worker from that
-  // worker's private evaluator/scratch.
-  const int num_workers = pool_->size();
-  std::vector<std::unique_ptr<BlockSimulator>> streams(
-      static_cast<std::size_t>(num_workers));
-  if (!goods_->cached()) {
-    for (auto& s : streams) {
-      s = std::make_unique<BlockSimulator>(*nl_, opts_.block_words,
-                                           opts_.backend);
-    }
-  }
-  const auto run = [&]<int W>(std::integral_constant<int, W>) {
-    pool_->run_on_all([&](int t) {
+  // Parallel phase: logs round-robin across the pool, each run through
+  // the per-log pipeline wholly within one worker, from that worker's
+  // evaluator and streaming scratch.
+  const std::size_t num_workers = eng_.evals.size();
+  dispatch_block_words(opts_.block_words, [&](auto w) {
+    eng_.pool->run_on_all([&](int t) {
+      std::unique_ptr<BlockSimulator> stream;
       for (std::size_t li = static_cast<std::size_t>(t); li < prepared.size();
-           li += static_cast<std::size_t>(num_workers)) {
-        BlockSimulator* stream = streams[static_cast<std::size_t>(t)].get();
-        Prepared& p = prepared[li];
-        {
-          TraceSpan span(telem, "score", t, CounterId::kDiagScoreUs,
-                         &p.res.stats.score_us);
-          score_log_serial<W>(t, faults, p, stream);
-        }
-        finalize(p);
-        {
-          TraceSpan span(telem, "cover", t, CounterId::kDiagCoverUs,
-                         &p.res.stats.cover_us);
-          recover_noise<W>(t, patterns, faults, p, stream, /*serial=*/true);
-        }
-        if constexpr (kTelemetryEnabled) {
-          // This log ran wholly in worker t, so its evaluator's tallies
-          // are exactly this log's sweeps.
-          const FaultConeEvaluator::SweepStats s =
-              workers_[static_cast<std::size_t>(t)].take_stats();
-          p.res.stats.sweep_calls = s.calls;
-          p.res.stats.sweep_aborts = s.aborts;
-          add_sweep_stats(telem, t, s);
-        }
+           li += num_workers) {
+        run_log<decltype(w)::value>(patterns, faults, prepared[li], t, stream);
       }
     });
-  };
-  dispatch_block_words(opts_.block_words, run);
+  });
 
   std::vector<DiagnosisResult> results;
   results.reserve(prepared.size());
   for (Prepared& p : prepared) {
-    if constexpr (kTelemetryEnabled) {
-      if (telem != nullptr) {
-        telem->metrics.add(0, CounterId::kDiagQueries, 1);
-        telem->metrics.add(0, CounterId::kDiagCandidates,
-                           p.res.num_candidates);
-        telem->metrics.add(0, CounterId::kDiagDropped, p.res.num_dropped);
-        if (p.res.union_fallback) {
-          telem->metrics.add(0, CounterId::kDiagUnionFallbacks, 1);
-        }
-        telem->metrics.add(0, CounterId::kDiagMultiplets,
-                           p.res.multiplets.size());
-      }
-    }
+    count_query(p.res);
     results.push_back(std::move(p.res));
   }
   return results;

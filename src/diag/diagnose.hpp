@@ -99,9 +99,6 @@ struct DiagnosisOptions {
   /// configuration. Dropped candidates keep canonical zero counters and
   /// rank after all fully scored candidates.
   bool score_early_exit = true;
-  /// Report size used by the CLI/JSON front ends; the ranked list itself
-  /// always keeps every scored candidate.
-  std::size_t max_report = 10;
   /// Tester-noise tolerance, in records: a candidate is not dropped by
   /// the scoring early-exit for mispredicting up to this many records
   /// beyond the best completed Hamming distance, and the noise-recovery
@@ -216,23 +213,72 @@ struct DiagnosisResult {
   std::size_t rank_of(const Fault& f) const;
 };
 
+/// The engine state both diagnosers score from: a worker pool, the
+/// observation-point space, its cone cache and a good-block cache --
+/// owned by a standalone engine, borrowed from a ScanSession otherwise --
+/// plus one cone-sweep evaluator per pool worker.
+class DiagnosisEngine {
+ public:
+  /// Standalone: builds the pool (opts.num_threads workers, 0 = hardware
+  /// concurrency), point space, cone cache and good-block cache. `who`
+  /// names the owning engine in validation errors.
+  DiagnosisEngine(const Netlist& nl, const char* who, DiagnosisOptions& opts);
+  /// Borrowing: shares the given state; the owner keeps it alive.
+  /// opts.num_threads becomes the pool's size in both forms.
+  DiagnosisEngine(const Netlist& nl, const char* who, DiagnosisOptions& opts,
+                  ThreadPool& pool, const ObservationPoints& points,
+                  ObservationConeCache& cones, GoodBlockCache& goods);
+
+  /// Makes the good-block cache serve `patterns`. A standalone engine
+  /// rebinds its cache on every call -- the one-shot cost the session API
+  /// amortizes away; a borrowed cache must already be bound to them.
+  void ensure_goods(std::span<const TestPattern> patterns,
+                    const DiagnosisOptions& opts);
+
+  /// Cone-cache tallies at one instant; store_cone_lookups() puts the
+  /// lookups made since then on a query's stats.
+  struct ConeMark {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+  ConeMark cone_mark() const { return {cones->hits(), cones->misses()}; }
+  void store_cone_lookups(ConeMark since, DiagnosisStats& st) const {
+    st.cone_cache_hits = cones->hits() - since.hits;
+    st.cone_cache_misses = cones->misses() - since.misses;
+  }
+
+  const Netlist* nl = nullptr;
+  ThreadPool* pool = nullptr;
+  const ObservationPoints* points = nullptr;
+  ObservationConeCache* cones = nullptr;
+  GoodBlockCache* goods = nullptr;
+  std::vector<FaultConeEvaluator> evals;  ///< one per pool worker
+
+ private:
+  void init_evals(DiagnosisOptions& opts);
+
+  // Standalone construction only; null when borrowed.
+  std::unique_ptr<ThreadPool> owned_pool_;
+  std::unique_ptr<ObservationPoints> owned_points_;
+  std::unique_ptr<ObservationConeCache> owned_cones_;
+  std::unique_ptr<GoodBlockCache> owned_goods_;
+};
+
 class Diagnoser {
  public:
-  /// Standalone: builds a private worker pool, observation-point space,
-  /// cone cache and good-block cache (the cache is rebound on every
-  /// diagnose() call) -- one-shot use without a ScanSession.
+  /// Standalone: owns its engine state (DiagnosisEngine), rebinding the
+  /// good-block cache on every call -- one-shot use without a ScanSession.
   explicit Diagnoser(const Netlist& nl, DiagnosisOptions opts = {});
-  /// Borrowing: shares a ScanSession's pool, point space, cone cache and
-  /// good-block cache across calls and engines. `goods` must already be
-  /// bound (by the owner) to the pattern storage later passed to
-  /// diagnose(); opts.num_threads is superseded by the pool's size.
+  /// Borrowing: shares a ScanSession's engine state across calls and
+  /// engines. `goods` must already be bound (by the owner) to the pattern
+  /// storage later passed to diagnose().
   Diagnoser(const Netlist& nl, DiagnosisOptions opts, ThreadPool& pool,
             const ObservationPoints& points, ObservationConeCache& cones,
             GoodBlockCache& goods);
   ~Diagnoser();
 
   const DiagnosisOptions& options() const { return opts_; }
-  const ObservationPoints& points() const { return *points_; }
+  const ObservationPoints& points() const { return *eng_.points; }
 
   /// Scores `faults` (typically collapse_faults(nl)) against the observed
   /// failure log under `patterns` (fully specified; the log's pattern
@@ -267,15 +313,30 @@ class Diagnoser {
   /// for any fault multiplicity; the noise-recovery fallback).
   enum class PruneMode { kIntersect, kUnion };
 
-  void ensure_goods(std::span<const TestPattern> patterns);
+  /// Scoring schedule: kPool spreads each round's candidates round-robin
+  /// across the pool; a worker index scores them all on that worker.
+  static constexpr int kPool = -1;
+
   Prepared prepare(std::span<const TestPattern> patterns,
                    std::span<const Fault> faults, const FailureLog& log,
                    PruneMode mode);
+  /// prepare() under the query's "prune" span.
+  Prepared prepare_log(std::span<const TestPattern> patterns,
+                       std::span<const Fault> faults, const FailureLog& log);
   void finalize(Prepared& p);
 
   std::vector<std::uint32_t> prune_candidates(std::span<const Fault> faults,
                                               const FailureLog& log,
                                               PruneMode mode);
+
+  /// The per-log pipeline after prepare(): score, finalize, recover noise,
+  /// then drain the sweep tallies into the log's stats. `worker` is the
+  /// scoring schedule (kPool or a worker index); `stream` is the caller's
+  /// good-block streaming scratch.
+  template <int W>
+  void run_log(std::span<const TestPattern> patterns,
+               std::span<const Fault> faults, Prepared& p, int worker,
+               std::unique_ptr<BlockSimulator>& stream);
 
   /// Accumulates one candidate's counters over one good-machine block and
   /// applies the early-exit drop test at the block boundary.
@@ -286,38 +347,30 @@ class Diagnoser {
                              bool early_exit, std::uint64_t best);
 
   template <int W>
-  void score_candidates(std::span<const Fault> faults, Prepared& p);
-  template <int W>
-  void score_log_serial(int worker, std::span<const Fault> faults, Prepared& p,
-                        BlockSimulator* stream);
+  void score_candidates(std::span<const Fault> faults, Prepared& p,
+                        int worker, std::unique_ptr<BlockSimulator>& stream);
 
   /// Post-ranking noise recovery: union-pruning fallback + multiplet
-  /// cover (header stages 3/4). `serial` selects the one-worker scoring
-  /// path for the rescore (batch fan-out; only already-cached cones are
-  /// read, so concurrent workers stay race-free).
+  /// cover (header stages 3/4), on the same schedule as the first pass.
+  /// In the batch fan-out only already-cached cones are read, so
+  /// concurrent workers stay race-free.
   template <int W>
-  void recover_noise(int worker, std::span<const TestPattern> patterns,
-                     std::span<const Fault> faults, Prepared& p,
-                     BlockSimulator* stream, bool serial);
+  void recover_noise(std::span<const TestPattern> patterns,
+                     std::span<const Fault> faults, Prepared& p, int worker,
+                     std::unique_ptr<BlockSimulator>& stream);
   /// Replays the top shortlist candidates, partitions failing patterns by
   /// exact explanation and greedily covers them into res.multiplets.
   template <int W>
-  void build_multiplets(int worker, std::span<const Fault> faults, Prepared& p,
-                        BlockSimulator* stream);
+  void build_multiplets(int worker, Prepared& p,
+                        std::unique_ptr<BlockSimulator>& stream);
 
-  const Netlist* nl_;
+  /// Adds one finished query to the registry's diag.* counters (and, when
+  /// given, its latency to the diagnose histogram).
+  void count_query(const DiagnosisResult& r,
+                   const std::uint64_t* latency_us = nullptr) const;
+
   DiagnosisOptions opts_;
-  // Owned engine state (standalone construction only; null when borrowed).
-  std::unique_ptr<ObservationPoints> owned_points_;
-  std::unique_ptr<ObservationConeCache> owned_cones_;
-  std::unique_ptr<GoodBlockCache> owned_goods_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  // Borrowed-or-owned views used by all engine code.
-  const ObservationPoints* points_ = nullptr;
-  ObservationConeCache* cones_ = nullptr;
-  GoodBlockCache* goods_ = nullptr;
-  ThreadPool* pool_ = nullptr;
-  std::vector<FaultConeEvaluator> workers_;
+  DiagnosisEngine eng_;
 };
 
 }  // namespace scanpower

@@ -19,7 +19,7 @@ ObservationPoints::ObservationPoints(const Netlist& nl) {
   num_pos_ = nl.outputs().size();
   source_.reserve(num_pos_ + nl.dffs().size());
   for (GateId po : nl.outputs()) source_.push_back(po);
-  dff_op_.assign(nl.num_gates(), static_cast<std::uint32_t>(-1));
+  dff_op_.assign(nl.num_gates(), kNoOp);
   cells_ = nl.dffs();
   for (GateId dff : cells_) {
     dff_op_[dff] = static_cast<std::uint32_t>(source_.size());
@@ -103,7 +103,7 @@ std::span<const std::uint32_t> ObservationPoints::points_of_gate(GateId g) const
 
 std::size_t ObservationPoints::point_of_dff(GateId d) const {
   const std::uint32_t op = dff_op_[d];
-  return op == static_cast<std::uint32_t>(-1) ? kNone : op;
+  return op == kNoOp ? kNone : op;
 }
 
 ObservationConeCache::ObservationConeCache(const Netlist& nl,
@@ -364,6 +364,7 @@ void GoodBlockCache::bind(const Netlist& nl,
   nl_ = &nl;
   patterns_ = patterns;
   words_ = block_words;
+  backend_ = backend;
   const std::size_t lanes = this->lanes();
   nblocks_ = (patterns.size() + lanes - 1) / lanes;
   cached_ = nblocks_ <= max_cached_blocks;
@@ -458,14 +459,10 @@ void ResponseCapture::inject_impl(std::span<const TestPattern> patterns,
     load_pattern_block(nl, patterns, base, good);
     good.eval();
     const PackedBlock<W> mask = lane_validity_mask<W>(batch);
-    // Only a D-branch fault sinks the DFF gate id *as a capture branch*;
-    // a stem fault on a DFF's Q net sinks the same gate id but means the
-    // Q net, read by whatever observation points consume it.
-    const bool d_branch = f.pin >= 0 && nl.type(f.gate) == GateType::Dff;
     eval_.propagate<W>(
         good, f, mask, points_.observable(),
         [&](GateId gate, const PatternWord* diff) {
-          const auto emit = [&](std::uint32_t op) {
+          points_.for_each_sink_point(f, gate, [&](std::uint32_t op) {
             for (int w = 0; w < W; ++w) {
               PatternWord d = diff[w];
               while (d != 0) {
@@ -478,12 +475,7 @@ void ResponseCapture::inject_impl(std::span<const TestPattern> patterns,
                      op});
               }
             }
-          };
-          if (d_branch && gate == f.gate) {
-            emit(static_cast<std::uint32_t>(points_.point_of_dff(gate)));
-          } else {
-            for (std::uint32_t op : points_.points_of_gate(gate)) emit(op);
-          }
+          });
         });
   }
 }

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -74,7 +75,24 @@ class ObservationPoints {
   /// net (identical to observable_net_mask()).
   std::span<const std::uint8_t> observable() const { return observable_; }
 
+  /// Calls fn(op) for every point that observes `gate` when fault `f`'s
+  /// cone sweep (FaultConeEvaluator::propagate) sinks it. A D-branch
+  /// fault sinks its DFF gate id as the capture branch, seen only at that
+  /// cell's capture point; every other sink gate -- a Q-stem fault's DFF
+  /// id included, which means the Q net -- is seen at every point reading
+  /// its net.
+  template <typename Fn>
+  void for_each_sink_point(const Fault& f, GateId gate, Fn&& fn) const {
+    if (gate == f.gate && f.pin >= 0 && dff_op_[gate] != kNoOp) {
+      fn(dff_op_[gate]);
+      return;
+    }
+    for (std::uint32_t op : points_of_gate(gate)) fn(op);
+  }
+
  private:
+  static constexpr std::uint32_t kNoOp = static_cast<std::uint32_t>(-1);
+
   std::size_t num_pos_ = 0;
   std::vector<GateId> source_;             ///< per op: observed gate
   std::vector<GateId> cells_;              ///< capture points' DFFs, op order
@@ -174,6 +192,18 @@ class GoodBlockCache {
   /// Replays block `b` into `scratch` (load + eval); the values equal the
   /// cached ones, so cached and streaming scoring are bit-identical.
   void stream(std::size_t b, BlockSimulator& scratch) const;
+  /// Good machine of block `b`: the cached block, or -- past the cap --
+  /// block `b` streamed into `scratch`, which is built on first use. Each
+  /// concurrent caller passes its own scratch.
+  const BlockSimulator& fetch(std::size_t b,
+                              std::unique_ptr<BlockSimulator>& scratch) const {
+    if (cached_) return block(b);
+    if (!scratch) {
+      scratch = std::make_unique<BlockSimulator>(*nl_, words_, backend_);
+    }
+    stream(b, *scratch);
+    return *scratch;
+  }
 
   /// Lifetime telemetry tallies (relaxed atomics where batch workers read
   /// concurrently; all-zero when telemetry is compiled out).
@@ -192,6 +222,7 @@ class GoodBlockCache {
   const Netlist* nl_ = nullptr;
   std::span<const TestPattern> patterns_;
   int words_ = 0;
+  SimBackend backend_ = SimBackend::Auto;
   std::size_t nblocks_ = 0;
   bool cached_ = false;
   std::vector<BlockSimulator> blocks_;

@@ -398,6 +398,9 @@ TEST(SessionBatchTest, ConcurrentMixedBatchMatchesSequential) {
     const DiagnosisResult seq = session.diagnose(evidence[i]);
     expect_same_result(batch[i], seq, "batch entry " + std::to_string(i));
     EXPECT_EQ(batch[i].rank_of(injected[i]), 1u) << i;
+    // Work counts do not depend on the schedule or the thread count.
+    EXPECT_EQ(batch[i].stats.sweep_calls, seq.stats.sweep_calls) << i;
+    EXPECT_EQ(batch[i].stats.sweep_aborts, seq.stats.sweep_aborts) << i;
   }
 
   // A single-worker session produces the identical batch.
@@ -442,10 +445,91 @@ TEST(SessionBatchTest, StreamingBatchMatchesSequential) {
 
   const std::vector<DiagnosisResult> batch = session.diagnose_batch(evidence);
   for (std::size_t i = 0; i < evidence.size(); ++i) {
-    expect_same_result(batch[i], session.diagnose(evidence[i]),
+    const DiagnosisResult seq = session.diagnose(evidence[i]);
+    expect_same_result(batch[i], seq,
                        "streaming batch entry " + std::to_string(i));
     EXPECT_EQ(batch[i].rank_of(injected[i]), 1u);
+    EXPECT_EQ(batch[i].stats.sweep_calls, seq.stats.sweep_calls) << i;
+    EXPECT_EQ(batch[i].stats.sweep_aborts, seq.stats.sweep_aborts) << i;
   }
+}
+
+// A one-log batch runs diagnose()'s pipeline, so on two fresh sessions it
+// must add exactly what diagnose() adds to the registry and record the
+// same diagnosis spans: the shared query epilogue can neither drop nor
+// double-count. The log is a fault pair no single candidate explains, so
+// the union fallback and the multiplet cover run and feed their counters.
+TEST(SessionBatchTest, SingleLogBatchCountsLikeDiagnose) {
+  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s382"));
+  const auto faults = collapse_faults(nl);
+  const auto pats = random_patterns(nl, 96, 0x1b47c);
+  FlowOptions opts;
+  opts.diag.num_threads = 4;
+
+  ResponseCapture cap(nl, opts.diag.block_words);
+  Diagnoser probe(nl, opts.diag);
+  FailureLog log;
+  for (std::size_t i = 0; i < faults.size() && log.failures.empty();
+       i += 37) {
+    const std::vector<Fault> pair = {faults[i],
+                                     faults[(i * 7 + 101) % faults.size()]};
+    if (pair[0].gate == pair[1].gate) continue;
+    FailureLog cand = cap.inject(pats, std::span<const Fault>(pair));
+    if (cand.failures.empty()) continue;
+    const DiagnosisResult r = probe.diagnose(pats, faults, cand);
+    if (r.union_fallback && !r.multiplets.empty()) log = std::move(cand);
+  }
+  ASSERT_FALSE(log.failures.empty()) << "no fault pair takes the fallback";
+
+  const std::vector<CounterId> counters = {
+      CounterId::kDiagQueries,      CounterId::kDiagCandidates,
+      CounterId::kDiagDropped,      CounterId::kDiagUnionFallbacks,
+      CounterId::kDiagMultiplets,   CounterId::kSweepCalls,
+      CounterId::kSweepUnexcited,   CounterId::kSweepConeGates,
+      CounterId::kSweepActiveGates, CounterId::kSweepAborts};
+  struct Run {
+    DiagnosisResult res;
+    std::vector<std::uint64_t> deltas;  ///< `counters`, then the histogram
+    std::vector<std::string> spans;     ///< "name@shard/depth", close order
+  };
+  const auto run = [&](bool batch) {
+    ScanSession session(Netlist(nl), opts);
+    session.bind_patterns(pats);
+    session.telemetry().trace.set_enabled(true);
+    const std::vector<Evidence> evidence = {Evidence(log)};
+    const MetricsSnapshot before = session.metrics();
+    Run r;
+    r.res = batch ? session.diagnose_batch(evidence).at(0)
+                  : session.diagnose(evidence[0]);
+    const MetricsSnapshot after = session.metrics();
+    for (CounterId id : counters) {
+      r.deltas.push_back(after.counter(id) - before.counter(id));
+    }
+    r.deltas.push_back(after.hist_count(HistId::kDiagnoseUs) -
+                       before.hist_count(HistId::kDiagnoseUs));
+    for (const TraceEvent& e : session.telemetry().trace.events()) {
+      const std::string name = e.name;
+      if (name == "diagnose" || name == "prune" || name == "score" ||
+          name == "cover") {
+        r.spans.push_back(name + "@" + std::to_string(e.shard) + "/" +
+                          std::to_string(e.depth));
+      }
+    }
+    return r;
+  };
+  const Run seq = run(false);
+  const Run one = run(true);
+
+  expect_same_result(one.res, seq.res, "one-log batch");
+  EXPECT_TRUE(seq.res.union_fallback);
+  EXPECT_EQ(one.deltas, seq.deltas);
+  EXPECT_EQ(one.spans, seq.spans);
+  EXPECT_EQ(seq.deltas[0], 1u);               // one query
+  EXPECT_EQ(seq.deltas[3], 1u);               // one union fallback
+  EXPECT_EQ(seq.deltas.back(), 1u);           // one latency sample
+  EXPECT_EQ(seq.deltas[5], seq.res.stats.sweep_calls);
+  EXPECT_EQ(seq.spans.size(), 4u);
 }
 
 }  // namespace
