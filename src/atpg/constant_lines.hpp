@@ -3,16 +3,18 @@
 // every assignment of the sources (PIs and DFF outputs), after SOCRATES
 // static learning [Schulz et al., 1988].
 //
-// Candidates are the lines that never toggle over one packed good-machine
-// sweep of a fixed-seed random block (the seed is the learner's own, so
-// learning draws nothing from the ATPG random stream). They are visited
-// in level order. A candidate whose already learned fanins fix its value
-// (3-valued evaluation) is constant outright. Any other candidate with
-// value c is proven by a good-machine search over all sources for the
-// value !c (Justifier::probe). A line is recorded only when that search is
-// exhausted; a budget abort proves nothing and leaves it unknown. The
-// proven set therefore does not depend on the sweep: every true constant
-// is a candidate, and a line that toggles is never recorded.
+// Candidates are the lines that never toggle over 16 packed good-machine
+// sweeps of 512 random patterns each, from fixed seeds (the learner's
+// own, so learning draws nothing from the ATPG random stream); the more
+// patterns, the fewer justifiable lines reach the proof search below.
+// Candidates are visited in level order. A candidate whose already
+// learned fanins fix its value (3-valued evaluation) is constant
+// outright. Any other candidate with value c is proven by a good-machine
+// search over all sources for the value !c (Justifier::probe). A line is
+// recorded only when that search is exhausted; a budget abort proves
+// nothing and leaves it unknown. The proven set therefore does not
+// depend on the sweeps: every true constant is a candidate, and a line
+// that toggles is never recorded.
 //
 // PODEM reads the result through PodemOptions::constant_lines, only to
 // prune subtrees that hold no test.

@@ -36,6 +36,7 @@ void cone_sweep(ConeSweepArgs& a, int words) {
 const SimKernels kTable = {
     SimBackend::Scalar, &eval_full,       &eval_ternary,
     &cone_sweep,        &leak_gather_impl, &obs_reduce_impl,
+    &power_pass_impl,
 };
 
 }  // namespace

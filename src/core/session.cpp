@@ -444,6 +444,7 @@ ScanPowerResult ScanSession::evaluate_power(
       eval.evaluate(tests, pi_control, mux_control, opts_.scan);
   telemetry_.metrics.add(0, CounterId::kPowerEvalCalls);
   telemetry_.metrics.add(0, CounterId::kPowerEvalCycles, r.cycles);
+  telemetry_.metrics.add(0, CounterId::kPowerEvalSweeps, r.sweeps);
   return r;
 }
 

@@ -285,13 +285,17 @@ GateLeakageTables::GateLeakageTables(const Netlist& nl,
     if (inserted) {
       const std::uint32_t off = static_cast<std::uint32_t>(storage_.size());
       const unsigned states = 1u << w;
+      const auto padded = [](unsigned entries) {
+        return std::max(entries, static_cast<unsigned>(kPaddedEntries));
+      };
       for (unsigned s = 0; s < states; ++s) {
         storage_.push_back(model.cell_leakage_na(t, w, s));
       }
+      storage_.resize(off + padded(states), 0.0);
       std::uint32_t xoff = kNone;
       if (w <= kMaxXTableWidth) {
         xoff = static_cast<std::uint32_t>(xstorage_.size());
-        xstorage_.resize(xstorage_.size() + (1u << (2 * w)), 0.0);
+        xstorage_.resize(xstorage_.size() + padded(1u << (2 * w)), 0.0);
         double* xt = xstorage_.data() + xoff;
         const double* base = storage_.data() + off;
         for (unsigned m = 0; m < states; ++m) {

@@ -99,8 +99,11 @@ class LeakageModel {
 /// the X positions, with exactly the arithmetic of
 /// cell_expected_leakage_na, so packed and scalar evaluation agree
 /// bit-for-bit). Tables are deduplicated by (type, width), so the
-/// footprint is per-library-shape, not per-gate. Instances are immutable
-/// after construction and safe to share across worker threads.
+/// footprint is per-library-shape, not per-gate. Tables of at most
+/// kPaddedEntries entries are zero-padded to that size, so the vector
+/// kernels can hold any of them in registers with unconditional loads.
+/// Instances are immutable after construction and safe to share across
+/// worker threads.
 class GateLeakageTables {
  public:
   /// Widest gate tabulated (2^w doubles per distinct shape); wider gates
@@ -109,6 +112,9 @@ class GateLeakageTables {
   /// Widest gate with a precomputed (state, xmask) expected table
   /// (4^w doubles per distinct shape).
   static constexpr int kMaxXTableWidth = 6;
+  /// Readable entries of every table with at most this many states: the
+  /// state tables of gates up to 4 wide, the expected tables up to 2.
+  static constexpr int kPaddedEntries = 16;
 
   GateLeakageTables(const Netlist& nl, const LeakageModel& model);
 
@@ -129,6 +135,13 @@ class GateLeakageTables {
   const double* xtable(GateId id) const {
     return xoffset_[id] == kNone ? nullptr : xstorage_.data() + xoffset_[id];
   }
+
+  /// Flat views for the packed kernels (PowerPassArgs): per-gate widths
+  /// (0 = leakless), per-gate state-table offsets into table_storage()
+  /// (valid for leaking gates up to kMaxTableWidth wide).
+  const std::uint8_t* widths() const { return width_.data(); }
+  const std::uint32_t* table_offsets() const { return offset_.data(); }
+  const double* table_storage() const { return storage_.data(); }
 
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;

@@ -68,6 +68,11 @@ class TernaryBlockSimulator {
 
   Logic lane_value(GateId id, std::size_t lane) const;
 
+  /// Id of one extra row past the last gate with both planes clear in
+  /// every lane (a known 0 that no evaluation writes): the padding fanin
+  /// of PowerPassArgs::fanins4.
+  GateId zero_row() const { return static_cast<GateId>(nl_->num_gates()); }
+
   /// Full levelized Kleene evaluation of the combinational core, through
   /// the resolved backend's kernel table.
   void eval();
@@ -77,7 +82,7 @@ class TernaryBlockSimulator {
   int words_;
   SimBackend backend_;      ///< resolved, never Auto
   const SimKernels* kern_;  ///< backend kernel table
-  std::vector<PatternWord> p1_;  ///< num_gates * words_, gate-major
+  std::vector<PatternWord> p1_;  ///< (num_gates + 1) * words_, gate-major
   std::vector<PatternWord> p0_;
 };
 
@@ -104,6 +109,12 @@ class PackedLeakageEvaluator {
   /// that gate's expected leakage (uniform over the X assignments),
   /// matching LeakageModel::cell_expected_leakage_na bit-for-bit.
   void eval(const TernaryBlockSimulator& sim, std::span<double> leak) const;
+
+  /// One gate's term of the 3-valued eval() for word `w`: adds the
+  /// leakage of gate `id` in each lane of that word to out64[0..63],
+  /// looking tables up with `kern`'s leak_gather.
+  void add_gate_word(const SimKernels& kern, const TernaryBlockSimulator& sim,
+                     GateId id, int w, double* out64) const;
 
  private:
   const Netlist* nl_;

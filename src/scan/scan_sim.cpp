@@ -1,8 +1,8 @@
 #include "scan/scan_sim.hpp"
 
 #include <algorithm>
-#include <bit>
 
+#include "atpg/sim_kernels.hpp"
 #include "power/packed_leakage.hpp"
 #include "util/assert.hpp"
 
@@ -16,59 +16,49 @@ std::size_t lanes_in_word(std::size_t n, int wi) {
   return n > lane0 ? std::min<std::size_t>(64, n - lane0) : 0;
 }
 
+/// Bits [lo, hi) of a word, hi - lo <= 64.
+PatternWord lane_range(unsigned lo, unsigned hi) {
+  const unsigned len = hi - lo;
+  return (len == 64 ? ~PatternWord{0} : (PatternWord{1} << len) - 1) << lo;
+}
+
+/// Bits [q, q + len) of a bit array, len <= 64, as the low bits of a
+/// word. The array needs one readable word past bit q + len - 1.
+PatternWord bit_window(const PatternWord* bits, std::size_t q, unsigned len) {
+  const unsigned b = q % 64;
+  PatternWord v = bits[q / 64] >> b;
+  if (b != 0) v |= bits[q / 64 + 1] << (64 - b);
+  return len == 64 ? v : v & ((PatternWord{1} << len) - 1);
+}
+
+/// One word of a source as a one-plane and an X-plane; lanes left in
+/// neither are known 0.
+struct SourceWord {
+  PatternWord ones = 0;
+  PatternWord xs = 0;
+
+  void set(PatternWord lanes, Logic v) {
+    if (v == Logic::One) ones |= lanes;
+    if (v == Logic::X) xs |= lanes;
+  }
+  void store(TernaryBlockSimulator& sim, GateId id, int wi) const {
+    sim.p1(id)[wi] = ones | xs;
+    sim.p0(id)[wi] = ~ones | xs;
+  }
+};
+
 /// Loads lanes [0, n) of a source from value(lane); lanes past n are
 /// known 0 and never read.
 template <typename ValueOf>
 void load_source(TernaryBlockSimulator& sim, GateId id, std::size_t n,
                  ValueOf&& value) {
   for (int wi = 0; wi < sim.words(); ++wi) {
-    const std::size_t count = lanes_in_word(n, wi);
-    PatternWord ones = 0;
-    PatternWord xs = 0;
-    for (std::size_t b = 0; b < count; ++b) {
-      const Logic v = value(static_cast<std::size_t>(wi) * 64 + b);
-      ones |= static_cast<PatternWord>(v == Logic::One) << b;
-      xs |= static_cast<PatternWord>(v == Logic::X) << b;
+    SourceWord src;
+    for (std::size_t b = 0; b < lanes_in_word(n, wi); ++b) {
+      src.set(PatternWord{1} << b,
+              value(static_cast<std::size_t>(wi) * 64 + b));
     }
-    sim.p1(id)[wi] = ones | xs;
-    sim.p0(id)[wi] = ~ones | xs;
-  }
-}
-
-/// Adds each gate's toggled load to cap[lane], against the lane before
-/// it: the full load where both values are known and differ, half where
-/// exactly one is X. Gates run in ascending id (one add per toggled lane,
-/// the scalar walk's order). carry1/carry0 hold every gate's planes of
-/// the lane before lane 0 (bit 0) and return those of the last lane;
-/// `valid` masks the lanes that count.
-void add_toggled_caps(const TernaryBlockSimulator& sim,
-                      std::span<const double> loads,
-                      std::span<const PatternWord> valid,
-                      std::span<PatternWord> carry1,
-                      std::span<PatternWord> carry0, std::span<double> cap) {
-  for (GateId id = 0; id < loads.size(); ++id) {
-    const double w = loads[id];
-    const double half_w = 0.5 * w;
-    PatternWord c1 = carry1[id];
-    PatternWord c0 = carry0[id];
-    for (int wi = 0; wi < sim.words(); ++wi) {
-      const PatternWord v1 = sim.p1(id)[wi];
-      const PatternWord v0 = sim.p0(id)[wi];
-      const PatternWord u1 = (v1 << 1) | c1;  // the previous lane's planes
-      const PatternWord u0 = (v0 << 1) | c0;
-      c1 = v1 >> 63;
-      c0 = v0 >> 63;
-      // Known = exactly one plane set; two known values differ iff p1 does.
-      PatternWord full = (v1 ^ v0) & (u1 ^ u0) & (v1 ^ u1) & valid[wi];
-      PatternWord half = ((v1 & v0) ^ (u1 & u0)) & valid[wi];
-      double* out = cap.data() + static_cast<std::size_t>(wi) * 64;
-      for (; full != 0; full &= full - 1) out[std::countr_zero(full)] += w;
-      for (; half != 0; half &= half - 1) {
-        out[std::countr_zero(half)] += half_w;
-      }
-    }
-    carry1[id] = c1;
-    carry0[id] = c0;
+    src.store(sim, id, wi);
   }
 }
 
@@ -76,6 +66,32 @@ const Netlist& finalized(const Netlist& nl) {
   SP_CHECK(nl.finalized(), "ScanPowerEvaluator requires a finalized netlist");
   return nl;
 }
+
+/// Fanins of every gate up to 4 wide, padded to four with the simulator's
+/// zero row (one past the last gate); wider gates get four zero rows.
+std::vector<std::uint32_t> padded_fanins(const Netlist& nl) {
+  const auto zero_row = static_cast<std::uint32_t>(nl.num_gates());
+  std::vector<std::uint32_t> quads(nl.num_gates() * 4, zero_row);
+  for (GateId id = 0; id < nl.num_gates(); ++id) {
+    const std::span<const GateId> fans = nl.fanin_span(id);
+    if (fans.size() > 4) continue;
+    std::copy(fans.begin(), fans.end(), quads.begin() + id * 4);
+  }
+  return quads;
+}
+
+/// PowerPassArgs::slow_leak over a PackedLeakageEvaluator.
+struct SlowLeak {
+  const PackedLeakageEvaluator* leakage;
+  const SimKernels* kern;
+  const TernaryBlockSimulator* sim;
+
+  static void call(void* ctx, GateId g, int word, double* vals64) {
+    const SlowLeak& self = *static_cast<const SlowLeak*>(ctx);
+    std::fill_n(vals64, 64, 0.0);
+    self.leakage->add_gate_word(*self.kern, *self.sim, g, word, vals64);
+  }
+};
 
 }  // namespace
 
@@ -86,7 +102,8 @@ ScanPowerEvaluator::ScanPowerEvaluator(const Netlist& nl,
     : nl_(&nl),
       config_(config),
       tables_(finalized(nl), leakage),
-      loads_(caps.load_vector(nl)) {}
+      loads_(caps.load_vector(nl)),
+      fanins4_(padded_fanins(nl)) {}
 
 ScanPowerResult ScanPowerEvaluator::evaluate(const TestSet& tests,
                                              std::span<const Logic> pi_control,
@@ -126,6 +143,7 @@ ScanPowerResult ScanPowerEvaluator::evaluate(const TestSet& tests,
 
   TernaryBlockSimulator sim(nl, kBlockWords);
   const std::size_t lanes = sim.lanes();
+  std::size_t sweeps = 0;
 
   // Captured responses, one pattern per lane: response[p * L + i] is the
   // D-pin value of dffs()[i] under (pi, ppi) of pattern p. Pattern p + 1
@@ -145,6 +163,7 @@ ScanPowerResult ScanPowerEvaluator::evaluate(const TestSet& tests,
                     [&](std::size_t l) { return pats[base + l].ppi[i]; });
       }
       sim.eval();
+      ++sweeps;
       for (std::size_t i = 0; i < chain_len; ++i) {
         const GateId d = nl.fanin_span(nl.dffs()[i])[0];
         for (std::size_t l = 0; l < n; ++l) {
@@ -154,48 +173,79 @@ ScanPowerResult ScanPowerEvaluator::evaluate(const TestSet& tests,
     }
   }
 
-  // Cycle lanes. Observed cycle `base + l` is cycle t of pattern p; t ==
-  // lmax is the capture cycle (PIs and cells take the test's values).
-  std::vector<std::size_t> lane_pat(lanes);
-  std::vector<std::size_t> lane_t(lanes);
-  const auto pi_value = [&](std::size_t i, std::size_t l) {
-    const std::size_t p = lane_pat[l];
-    if (lane_t[l] == lmax) return pats[p].pi[i];
-    const Logic ctrl = pi_control.empty() ? Logic::X : pi_control[i];
-    if (ctrl != Logic::X) return ctrl;
-    return p == 0 ? Logic::Zero : pats[p - 1].pi[i];  // held from last test
-  };
-  // After shift t, in-chain index j of chain c holds the bit that entered
-  // at shift t - j (a padding zero, or the test bit scanned in last-first)
-  // or, for j > t, the previous content of index j - t - 1.
-  const auto cell_value = [&](std::size_t pos) {
-    const std::size_t cell = order[pos];
-    const Logic mux = mux_control.empty() ? Logic::X : mux_control[cell];
-    const std::size_t c = pos % k;
-    const std::size_t j = pos / k;
-    const std::size_t lc = (chain_len - c + k - 1) / k;
-    const std::size_t pad = lmax - lc;
-    return [&, cell, mux, c, j, lc, pad](std::size_t l) {
-      const std::size_t p = lane_pat[l];
-      const std::size_t t = lane_t[l];
-      if (t == lmax) return pats[p].ppi[cell];
-      if (mux != Logic::X) return mux;
-      if (j <= t) {
-        const std::size_t s = t - j;
-        return s >= pad ? pats[p].ppi[order[c + (lc - 1 - (s - pad)) * k]]
-                        : Logic::Zero;
+  // Chain streams. During pattern p's shift t, in-chain index j of chain
+  // c holds bit q = lmax + t - j of the stream of (p, c): for q < lmax the
+  // previous content of index lmax - 1 - q (the previous response, or the
+  // initial state), then `pad` leading zeros, then the test bits scanned
+  // in last-first. A free cell's shift lanes are one window of it.
+  const std::size_t kc = std::min(k, chain_len);  // chains holding cells
+  const std::size_t stream_bits = 2 * lmax;
+  const std::size_t stream_words = stream_bits / 64 + 2;  // + a read pad
+  std::vector<PatternWord> stream_ones(pats.size() * kc * stream_words, 0);
+  std::vector<PatternWord> stream_xs(stream_ones.size(), 0);
+  for (std::size_t p = 0; p < pats.size(); ++p) {
+    for (std::size_t c = 0; c < kc; ++c) {
+      const std::size_t at = (p * kc + c) * stream_words;
+      PatternWord* const ones = stream_ones.data() + at;
+      PatternWord* const xs = stream_xs.data() + at;
+      const auto put = [&](std::size_t q, Logic v) {
+        const PatternWord bit = PatternWord{1} << (q % 64);
+        if (v == Logic::One) ones[q / 64] |= bit;
+        if (v == Logic::X) xs[q / 64] |= bit;
+      };
+      const std::size_t lc = (chain_len - c + k - 1) / k;
+      const std::size_t pad = lmax - lc;
+      for (std::size_t m = 0; m < lc; ++m) {
+        put(lmax - 1 - m,
+            p == 0 ? opts.initial_state
+                   : response[(p - 1) * chain_len + order[c + m * k]]);
       }
-      if (p == 0) return opts.initial_state;
-      return response[(p - 1) * chain_len + order[c + (j - t - 1) * k]];
-    };
-  };
+      for (std::size_t b = 0; b < lc; ++b) {  // b-th bit scanned in
+        put(lmax + pad + b, pats[p].ppi[order[c + (lc - 1 - b) * k]]);
+      }
+    }
+  }
 
   const PackedLeakageEvaluator leakage(nl, tables_, sim.backend());
+  const SimKernels& kern = sim_kernels(sim.backend());
+  SlowLeak slow{&leakage, &kern, &sim};
   std::vector<double> leak(lanes);
   std::vector<double> cap(lanes);
   // Planes of each gate's last lane in the previous sweep (bit 0).
   std::vector<PatternWord> carry1(nl.num_gates(), 0);
   std::vector<PatternWord> carry0(nl.num_gates(), 0);
+  PatternWord valid[kBlockWords];
+
+  PowerPassArgs pass;
+  pass.num_gates = nl.num_gates();
+  pass.p1 = sim.p1(0);
+  pass.p0 = sim.p0(0);
+  pass.words = kBlockWords;
+  pass.width = tables_.widths();
+  pass.table_offset = tables_.table_offsets();
+  pass.tables = tables_.table_storage();
+  pass.fanins4 = fanins4_.data();
+  pass.slow_leak = &SlowLeak::call;
+  pass.slow_ctx = &slow;
+  pass.loads = loads_.data();
+  pass.valid = valid;
+  pass.carry1 = carry1.data();
+  pass.carry0 = carry0.data();
+  pass.leak = leak.data();
+  pass.cap = cap.data();
+
+  // One word's cycles: runs of consecutive shift cycles of one pattern,
+  // and capture lanes (t == lmax: PIs and cells take the test's values).
+  struct ShiftRun {
+    std::size_t p, t0;
+    unsigned lo, hi;  ///< lanes [lo, hi) hold shifts t0, t0 + 1, ...
+  };
+  struct Capture {
+    std::size_t p;
+    unsigned lane;
+  };
+  std::vector<ShiftRun> runs;
+  std::vector<Capture> captures;
 
   // The reduction over cycles, in cycle order, with the arithmetic of a
   // cycle-by-cycle accumulator: the running toggle total is differenced
@@ -208,28 +258,70 @@ ScanPowerResult ScanPowerEvaluator::evaluate(const TestSet& tests,
 
   for (std::size_t base = 0; base < num_cycles; base += lanes) {
     const std::size_t n = std::min(lanes, num_cycles - base);
-    for (std::size_t l = 0; l < n; ++l) {
-      lane_pat[l] = (base + l) / per_pattern;
-      lane_t[l] = (base + l) % per_pattern;
-    }
-    for (std::size_t i = 0; i < num_pi; ++i) {
-      load_source(sim, nl.inputs()[i], n,
-                  [&](std::size_t l) { return pi_value(i, l); });
-    }
-    for (std::size_t pos = 0; pos < chain_len; ++pos) {
-      load_source(sim, nl.dffs()[order[pos]], n, cell_value(pos));
-    }
-    sim.eval();
-    leakage.eval(sim, leak);
-
-    PatternWord valid[kBlockWords];
+    // Words past the last cycle keep stale sources: the pass skips them.
+    int words_used = 0;
     for (int wi = 0; wi < kBlockWords; ++wi) {
       const std::size_t count = lanes_in_word(n, wi);
-      valid[wi] = count == 64 ? ~PatternWord{0} : (PatternWord{1} << count) - 1;
+      if (count == 0) break;
+      words_used = wi + 1;
+      valid[wi] = lane_range(0, static_cast<unsigned>(count));
+      runs.clear();
+      captures.clear();
+      const std::size_t first = base + static_cast<std::size_t>(wi) * 64;
+      for (unsigned r = 0; r < count;) {
+        const std::size_t p = (first + r) / per_pattern;
+        const std::size_t t = (first + r) % per_pattern;
+        if (t == lmax) {
+          captures.push_back({p, r++});
+          continue;
+        }
+        const unsigned len = static_cast<unsigned>(
+            std::min<std::size_t>(count - r, lmax - t));
+        runs.push_back({p, t, r, r + len});
+        r += len;
+      }
+      for (std::size_t i = 0; i < num_pi; ++i) {
+        const Logic ctrl = pi_control.empty() ? Logic::X : pi_control[i];
+        SourceWord src;
+        for (const ShiftRun& run : runs) {
+          // Uncontrolled PIs hold the previous test's values.
+          const Logic held = run.p == 0 ? Logic::Zero : pats[run.p - 1].pi[i];
+          src.set(lane_range(run.lo, run.hi), ctrl != Logic::X ? ctrl : held);
+        }
+        for (const Capture& cap_lane : captures) {
+          src.set(PatternWord{1} << cap_lane.lane, pats[cap_lane.p].pi[i]);
+        }
+        src.store(sim, nl.inputs()[i], wi);
+      }
+      for (std::size_t pos = 0; pos < chain_len; ++pos) {
+        const std::size_t cell = order[pos];
+        const Logic mux = mux_control.empty() ? Logic::X : mux_control[cell];
+        const std::size_t c = pos % k;
+        const std::size_t j = pos / k;
+        SourceWord src;
+        for (const ShiftRun& run : runs) {
+          if (mux != Logic::X) {
+            src.set(lane_range(run.lo, run.hi), mux);
+            continue;
+          }
+          const std::size_t at = (run.p * kc + c) * stream_words;
+          const std::size_t q = lmax + run.t0 - j;
+          const unsigned len = run.hi - run.lo;
+          src.ones |= bit_window(stream_ones.data() + at, q, len) << run.lo;
+          src.xs |= bit_window(stream_xs.data() + at, q, len) << run.lo;
+        }
+        for (const Capture& cap_lane : captures) {
+          src.set(PatternWord{1} << cap_lane.lane, pats[cap_lane.p].ppi[cell]);
+        }
+        src.store(sim, nl.dffs()[cell], wi);
+      }
     }
+    sim.eval();
+    ++sweeps;
+
     if (base == 0) valid[0] &= ~PatternWord{1};  // the first cycle
-    std::fill(cap.begin(), cap.end(), 0.0);
-    add_toggled_caps(sim, loads_, valid, carry1, carry0, cap);
+    pass.words_used = words_used;
+    kern.power_pass(pass);
 
     for (std::size_t l = 0; l < n; ++l) {
       toggle_total += cap[l];
@@ -255,6 +347,7 @@ ScanPowerResult ScanPowerEvaluator::evaluate(const TestSet& tests,
   res.peak_dynamic_per_hz_uw = 0.5 * vdd * vdd * peak_cap * 1e-15 * 1e6;
   res.peak_leakage_na = peak_leak;
   res.cycles = num_cycles;
+  res.sweeps = sweeps;
   return res;
 }
 

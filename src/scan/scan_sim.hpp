@@ -22,10 +22,14 @@
 // (the PI control value or the previous test's PI; the mux constant or
 // the chain bit, which is a bit of the current test, of the previous
 // test's captured response, or of the initial chain state), so cycles
-// need no sequential simulation. Toggles between consecutive cycles are
-// neighbour-lane masks; per-cycle sums and the reduction over cycles run
-// in the order a cycle-by-cycle scalar loop would use, which makes every
-// result field reproducible bit for bit.
+// need no sequential simulation; a source loads a word of cycles at once
+// (a PI or a multiplexed cell is constant over a pattern's shifts, a free
+// cell reads a window of its chain's bit stream). Toggles between
+// consecutive cycles are neighbour-lane masks. One kernel pass per word
+// (SimKernels::power_pass) sums every gate's leakage and toggled load per
+// lane, and the reduction over cycles runs in the order a cycle-by-cycle
+// scalar loop would use, which makes every result field reproducible bit
+// for bit.
 
 #include <span>
 #include <vector>
@@ -52,6 +56,7 @@ struct ScanPowerResult {
   double peak_dynamic_per_hz_uw = 0.0;  ///< worst single shift cycle
   double peak_leakage_na = 0.0;
   std::size_t cycles = 0;          ///< observed clock cycles
+  std::size_t sweeps = 0;          ///< packed sweeps run (capture + cycle)
 };
 
 struct ScanSimOptions {
@@ -96,6 +101,7 @@ class ScanPowerEvaluator {
   PowerConfig config_;
   GateLeakageTables tables_;
   std::vector<double> loads_;  ///< per-gate toggle weight (fF)
+  std::vector<std::uint32_t> fanins4_;  ///< PowerPassArgs::fanins4
 };
 
 }  // namespace scanpower

@@ -31,6 +31,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "tpg.untestable_inferred",
     "power_eval.calls",
     "power_eval.cycles",
+    "power_eval.sweeps",
     "backend.blocks_scalar",
     "backend.blocks_avx2",
     "backend.blocks_avx512",

@@ -74,6 +74,7 @@ enum class CounterId : int {
   // scan-shift power evaluation, added once per evaluate() call (semantic)
   kPowerEvalCalls,
   kPowerEvalCycles,    ///< observed clock cycles evaluated
+  kPowerEvalSweeps,    ///< packed sweeps run (capture + cycle; work)
   // kernel-backend attribution: fault-sim blocks swept per backend (work
   // counters; which one advances depends on the resolved backend)
   kBackendBlocksScalar,

@@ -1,10 +1,10 @@
 // Backend cross-check suite: the house determinism rule applied to the
 // kernel-backend axis. Every backend available on this host must produce
 // results bit-identical to the scalar reference engine -- fault-sim
-// detections, diagnosis rankings (and suspect sets), observability sums
-// and fill choices -- at every (block width, thread count) in the
-// matrix, on the benchgen ISCAS89-like profiles and on the degenerate
-// netlist shapes from test_degenerate.cpp.
+// detections, diagnosis rankings (and suspect sets), observability sums,
+// fill choices and the scan-power pass's per-lane sums -- at every
+// (block width, thread count) in the matrix, on the benchgen ISCAS89-like
+// profiles and on the degenerate netlist shapes from test_degenerate.cpp.
 //
 // Backends that the host cannot run (AVX TUs compiled out, CPU without
 // the features) are skipped here and covered by the CI matrix on hosts
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "atpg/fault_sim.hpp"
 #include "atpg/packed_sim.hpp"
 #include "atpg/sim_backend.hpp"
+#include "atpg/sim_kernels.hpp"
 #include "benchgen/benchgen.hpp"
 #include "core/dont_care_fill.hpp"
 #include "diag/diagnose.hpp"
@@ -29,7 +31,9 @@
 #include "netlist/builder.hpp"
 #include "power/leakage_model.hpp"
 #include "power/observability.hpp"
+#include "power/packed_leakage.hpp"
 #include "techmap/techmap.hpp"
+#include "timing/delay_model.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -423,6 +427,178 @@ TEST(BackendCrossCheck, ThreadedFillMatchesSerial) {
     EXPECT_EQ(ref_mux, mux) << "T=" << t;
     EXPECT_EQ(ref.best_leakage_na, got.best_leakage_na) << "T=" << t;
     EXPECT_EQ(ref.first_leakage_na, got.first_leakage_na) << "T=" << t;
+  }
+}
+
+// ---------- scan-power pass -------------------------------------------------
+
+/// One gate on every leakage path of the power pass. Inputs k<i> never
+/// carry X, inputs x<i> do in some lanes of every word but word 0; a gate
+/// "g<k>_<x>" reads x X-carrying and k - x X-free inputs:
+///  - widths 1-4 with X on 0..k fanins (in-register tables; X words take
+///    the slow path), and gates fed by those;
+///  - 5 and 6 inputs (expected tables), 7 (wider than kMaxXTableWidth)
+///    and 13 (wider than kMaxTableWidth: analytic in every word);
+///  - leakless gates: the sources, a constant and a DFF.
+Netlist power_pass_netlist() {
+  NetlistBuilder b("power_pass");
+  for (int i = 0; i < 13; ++i) {
+    b.add_input("k" + std::to_string(i));
+    b.add_input("x" + std::to_string(i));
+  }
+  const auto fanins = [](int k, int x) {
+    std::vector<std::string> f;
+    for (int i = 0; i < k; ++i) {
+      std::string name(1, i < x ? 'x' : 'k');
+      name += std::to_string(i);
+      f.push_back(std::move(name));
+    }
+    return f;
+  };
+  std::vector<std::string> outs;
+  for (const int k : {1, 2, 3, 4, 5, 6, 7, 13}) {
+    for (int x = 0; x <= std::min(k, 4); ++x) {
+      std::string name = "g";
+      name += std::to_string(k) + "_" + std::to_string(x);
+      const GateType t = k == 1 ? GateType::Not
+                                : (x % 2 ? GateType::Nor : GateType::Nand);
+      b.add_gate(t, name, fanins(k, x));
+      outs.push_back(name);
+    }
+  }
+  b.add_gate(GateType::Const0, "zero", {});
+  b.add_gate(GateType::Nor, "h1", {"zero", "g2_1"});
+  b.add_gate(GateType::Dff, "q", {"h1"});
+  b.add_gate(GateType::Nand, "h2", {"q", "g3_0", "g4_2"});
+  b.add_gate(GateType::Nor, "h3", {"h2", "g1_1", "g2_0", "g7_1"});
+  outs.push_back("h3");
+  for (const std::string& o : outs) b.add_output(o);
+  return b.link();
+}
+
+/// Per-lane leakage, toggled-load sums and final carries of two
+/// consecutive sweeps of the power pass on `backend`: a full first sweep
+/// (lane 0 masked as the first cycle) and a second one that ends in a
+/// partial word. Sources are random with seeded X, the carries start
+/// random.
+struct PowerPassRun {
+  std::vector<double> leak;
+  std::vector<double> cap;
+  std::vector<PatternWord> carry1;
+  std::vector<PatternWord> carry0;
+  std::size_t slow_calls = 0;
+};
+
+PowerPassRun run_power_pass(const Netlist& nl, SimBackend backend, int words) {
+  const LeakageModel model;
+  const GateLeakageTables tables(nl, model);
+  const std::vector<double> loads = CapacitanceModel().load_vector(nl);
+  TernaryBlockSimulator sim(nl, words, SimBackend::Scalar);
+  const SimKernels& kern = sim_kernels(backend);
+  const PackedLeakageEvaluator leakage(nl, tables, backend);
+
+  std::vector<std::uint32_t> fanins4(nl.num_gates() * 4, sim.zero_row());
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    const std::span<const GateId> fans = nl.fanin_span(g);
+    if (fans.size() <= 4) {
+      std::copy(fans.begin(), fans.end(), fanins4.begin() + g * 4);
+    }
+  }
+  struct Slow {
+    const PackedLeakageEvaluator* leakage;
+    const SimKernels* kern;
+    const TernaryBlockSimulator* sim;
+    std::size_t calls = 0;
+  } slow{&leakage, &kern, &sim};
+
+  PowerPassRun run;
+  Rng carry_rng(0xca77);
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    run.carry1.push_back(carry_rng.next_u64() & 1);
+    run.carry0.push_back(carry_rng.next_u64() & 1 ? 1 : 1 - run.carry1.back());
+  }
+  std::vector<PatternWord> valid(static_cast<std::size_t>(words));
+  std::vector<double> leak(sim.lanes());
+  std::vector<double> cap(sim.lanes());
+  PowerPassArgs a;
+  a.num_gates = nl.num_gates();
+  a.p1 = sim.p1(0);
+  a.p0 = sim.p0(0);
+  a.words = words;
+  a.width = tables.widths();
+  a.table_offset = tables.table_offsets();
+  a.tables = tables.table_storage();
+  a.fanins4 = fanins4.data();
+  a.slow_leak = [](void* ctx, GateId g, int word, double* vals64) {
+    Slow& s = *static_cast<Slow*>(ctx);
+    ++s.calls;
+    std::fill_n(vals64, 64, 0.0);
+    s.leakage->add_gate_word(*s.kern, *s.sim, g, word, vals64);
+  };
+  a.slow_ctx = &slow;
+  a.loads = loads.data();
+  a.valid = valid.data();
+  a.carry1 = run.carry1.data();
+  a.carry0 = run.carry0.data();
+  a.leak = leak.data();
+  a.cap = cap.data();
+
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    Rng rng(0x5eed + static_cast<std::uint64_t>(sweep));
+    const auto fill = [&](GateId src, bool with_x) {
+      for (int w = 0; w < words; ++w) {
+        const PatternWord ones = rng.next_u64();
+        const PatternWord xs =
+            with_x && w > 0 ? rng.next_u64() & rng.next_u64() & rng.next_u64()
+                            : 0;
+        sim.p1(src)[w] = ones | xs;
+        sim.p0(src)[w] = ~ones | xs;
+      }
+    };
+    for (GateId pi : nl.inputs()) fill(pi, nl.gate_name(pi)[0] == 'x');
+    for (GateId ff : nl.dffs()) fill(ff, true);
+    sim.eval();
+    std::fill(valid.begin(), valid.end(), ~PatternWord{0});
+    if (sweep == 0) {
+      a.words_used = words;
+      valid[0] &= ~PatternWord{1};  // the first cycle
+    } else {
+      a.words_used = std::max(1, words - 1);
+      valid[static_cast<std::size_t>(a.words_used - 1)] =
+          (PatternWord{1} << 37) - 1;
+    }
+    kern.power_pass(a);
+    const std::size_t n = static_cast<std::size_t>(a.words_used) * 64;
+    run.leak.insert(run.leak.end(), leak.begin(), leak.begin() + n);
+    run.cap.insert(run.cap.end(), cap.begin(), cap.begin() + n);
+  }
+  run.slow_calls = slow.calls;
+  return run;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(BackendCrossCheck, PowerPassMatchesScalar) {
+  const Netlist nl = power_pass_netlist();
+  for (const int w : {1, 4, 8}) {
+    const PowerPassRun ref = run_power_pass(nl, SimBackend::Scalar, w);
+    EXPECT_GT(ref.slow_calls, 0u) << "W=" << w;
+    double total = 0.0;
+    for (const double c : ref.cap) total += c;
+    EXPECT_GT(total, 0.0) << "W=" << w;
+    for (SimBackend b : backends_under_test()) {
+      const PowerPassRun got = run_power_pass(nl, b, w);
+      const std::string what =
+          std::string("backend=") + backend_name(b) + " W=" + std::to_string(w);
+      EXPECT_TRUE(same_bytes(ref.leak, got.leak)) << what;
+      EXPECT_TRUE(same_bytes(ref.cap, got.cap)) << what;
+      EXPECT_EQ(ref.carry1, got.carry1) << what;
+      EXPECT_EQ(ref.carry0, got.carry0) << what;
+      EXPECT_EQ(ref.slow_calls, got.slow_calls) << what;
+    }
   }
 }
 

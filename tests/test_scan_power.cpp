@@ -9,6 +9,7 @@
 //    state {0, X} x {traditional, PI control, PI + mux control} x {fully
 //    specified, X-carrying} patterns;
 //  - s5378 and s9234 at default options with 4 patterns per method;
+//  - gates wider than the mapped library (5 to 13 inputs);
 //  - the edges: an empty test set, one pattern, no DFFs (zero shift
 //    cycles), more chains than cells, every cell multiplexed, and cycle
 //    counts around the sweep's lane count (the toggle carry between
@@ -296,6 +297,68 @@ TEST(ScanPower, ToggleCarryAcrossSweepEdges) {
       const ScanPowerResult r = chk.check(ts, {}, {}, so, ctx);
       EXPECT_EQ(r.cycles, cycles) << ctx;
       chk.check(ts, pi_ctl, {}, so, ctx + " pi");
+    }
+  }
+}
+
+// The mapped profiles have no gate wider than 4 inputs. Here 5- and
+// 6-input gates read expected tables on X, a 7-input gate (wider than
+// GateLeakageTables::kMaxXTableWidth) the analytic expected leakage, and
+// a 13-input gate (wider than kMaxTableWidth) the analytic leakage in
+// every cycle.
+TEST(ScanPower, WideGates) {
+  NetlistBuilder b("wide");
+  const auto net = [](char c, int i) {
+    std::string name(1, c);
+    name += std::to_string(i);
+    return name;
+  };
+  std::vector<std::string> srcs;
+  for (int i = 0; i < 6; ++i) {
+    srcs.push_back(net('i', i));
+    b.add_input(srcs.back());
+  }
+  for (int i = 0; i < 8; ++i) srcs.push_back(net('q', i));
+  const auto pick = [&](std::size_t n, std::size_t first) {
+    std::vector<std::string> f;
+    for (std::size_t j = 0; j < n; ++j) {
+      f.push_back(srcs[(first + j) % srcs.size()]);
+    }
+    return f;
+  };
+  b.add_gate(GateType::Nand, "w5", pick(5, 0));
+  b.add_gate(GateType::Nor, "w6", pick(6, 3));
+  b.add_gate(GateType::Nand, "w7", pick(7, 6));
+  b.add_gate(GateType::Nor, "w13", pick(13, 1));
+  b.add_gate(GateType::Nand, "n1", {"w5", "w6"});
+  b.add_gate(GateType::Nor, "n2", {"w7", "w13", "n1"});
+  b.add_gate(GateType::Not, "n3", {"n2"});
+  const char* const d_pins[] = {"w5", "w6", "w7", "w13", "n1", "n2", "n3", "q0"};
+  for (int i = 0; i < 8; ++i) {
+    b.add_gate(GateType::Dff, net('q', i), {d_pins[i]});
+  }
+  b.add_output("n3");
+  b.add_output("w13");
+  const Netlist nl = b.link();
+  Checker chk(nl);
+  Rng rng(47);
+  const std::vector<Logic> pi_ctl = random_control(nl.inputs().size(), rng, 3);
+  const std::vector<Logic> mux_ctl = random_control(nl.dffs().size(), rng, 2);
+  for (const bool with_x : {false, true}) {
+    const TestSet ts = random_tests(nl, 40, 53, with_x);
+    for (const bool capture : {false, true}) {
+      for (const int chains : {1, 3}) {
+        ScanSimOptions so;
+        so.include_capture_cycles = capture;
+        so.num_chains = chains;
+        so.initial_state = with_x ? Logic::X : Logic::Zero;
+        const std::string ctx = "wide x=" + std::to_string(with_x) +
+                                " capture=" + std::to_string(capture) +
+                                " chains=" + std::to_string(chains);
+        chk.check(ts, {}, {}, so, ctx);
+        chk.check(ts, pi_ctl, {}, so, ctx + " pi");
+        chk.check(ts, pi_ctl, mux_ctl, so, ctx + " pi+mux");
+      }
     }
   }
 }

@@ -21,11 +21,12 @@
 //     configuration; generate_tests traces one span per phase; attaching
 //     a scope never changes a TestSet or a FindControlledInputPattern
 //     result.
-//  6. Scan-power evaluation -- power_eval.calls / power_eval.cycles are
-//     added once per evaluation: run_flow adds 3 calls and the three
-//     columns' cycles; they follow only the evaluated test sets, so they
-//     are invariant across every (block_words, num_threads) on a fixed
-//     set; the session's telemetry-fed evaluations equal a standalone
+//  6. Scan-power evaluation -- power_eval.calls / power_eval.cycles /
+//     power_eval.sweeps are added once per evaluation: run_flow adds 3
+//     calls and the three columns' cycles; they follow only the evaluated
+//     test sets, so they are invariant across every (block_words,
+//     num_threads) on a fixed set; sweeps equals the packed sweeps run;
+//     the session's telemetry-fed evaluations equal a standalone
 //     evaluator's results byte for byte.
 //
 // Every test compiles (and passes, mostly as skips or zero-checks) under
@@ -622,6 +623,42 @@ TEST(TelemetryPowerEvalTest, CountersFollowEvaluationsAcrossConfigs) {
           << counter_name(id) << " differs at config (" << cfgs[i].w << ","
           << cfgs[i].t << ")";
     }
+  }
+}
+
+// power_eval.sweeps counts the packed sweeps behind the columns: one
+// capture sweep per lane block of captured patterns plus one sweep per
+// lane block of observed cycles, whatever the session's (W, T).
+TEST(TelemetryPowerEvalTest, SweepsCountPackedWorkAcrossConfigs) {
+  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
+  const TestSet fixed = seeded_tests(nl, 40);
+  const std::size_t lanes =
+      static_cast<std::size_t>(ScanPowerEvaluator::kBlockWords) * 64;
+  const auto blocks = [&](std::size_t n) { return (n + lanes - 1) / lanes; };
+  const std::size_t cycles = fixed.patterns.size() * nl.dffs().size();
+  const std::size_t per_eval =
+      blocks(fixed.patterns.size() - 1) + blocks(cycles);
+  ASSERT_GT(blocks(cycles), 1u);  // the cycle sweeps carry toggles
+
+  const FlowOptions ref_opts = tpg_counter_options(1, 1);
+  const LeakageModel model(ref_opts.leakage_params);
+  ScanPowerEvaluator eval(nl, model, ref_opts.delay.caps(), ref_opts.power);
+  const ScanPowerResult alone = eval.evaluate(fixed, {}, {}, ref_opts.scan);
+  EXPECT_EQ(alone.cycles, cycles);
+  EXPECT_EQ(alone.sweeps, per_eval);
+
+  struct Cfg { int w, t; };
+  for (const Cfg c : {Cfg{1, 1}, Cfg{1, 4}, Cfg{4, 1}, Cfg{4, 4}}) {
+    const std::string cfg = strprintf("(%d,%d)", c.w, c.t);
+    ScanSession session(Netlist(nl), tpg_counter_options(c.w, c.t));
+    const ScanPowerResult p = session.power_report(fixed);
+    const ScanPowerResult q = session.run_proposed(fixed);
+    EXPECT_EQ(p.sweeps, per_eval) << cfg;
+    EXPECT_EQ(q.sweeps, per_eval) << cfg;
+    EXPECT_EQ(session.metrics().counter(CounterId::kPowerEvalSweeps),
+              2 * per_eval)
+        << cfg;
   }
 }
 
