@@ -1,6 +1,7 @@
 #include "compact/compact_diag.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "util/assert.hpp"
@@ -25,15 +26,10 @@ void check_signature_log(std::span<const TestPattern> patterns,
 
 /// Per-worker scratch for the parallel candidate sweep (the cone-sweep
 /// evaluators live in the engine state). Each candidate's predicted
-/// response diff is collected into `diff` (only rows the cone sweep
-/// actually reached are written, tracked in `dirty` so clearing is
-/// sparse), compacted into `diff_sigs`, and matched against the log's
-/// window signatures. Cache-line aligned: workers sit side by side in one
-/// vector and each grows its own `dirty` mid-sweep.
+/// signature diff is accumulated into `diff_sigs` and matched against the
+/// log's window signatures. Cache-line aligned: workers sit side by side
+/// in one vector.
 struct alignas(64) SignatureDiagnoser::Worker {
-  std::vector<PatternWord> diff;          ///< num_points * words_per_point
-  std::vector<std::uint32_t> dirty;       ///< rows written for this candidate
-  std::vector<std::uint8_t> dirty_mark;   ///< per row
   std::vector<std::uint64_t> diff_sigs;   ///< per window
   std::unique_ptr<BlockSimulator> stream; ///< good-block streaming scratch
 };
@@ -80,41 +76,51 @@ template <int W>
 void SignatureDiagnoser::score_candidates(
     std::span<const TestPattern> patterns, std::span<const Fault> faults,
     std::span<const std::uint32_t> candidates, const SignatureLog& log,
-    const XMaskPlan& plan, const MisrCompactor& compactor,
-    std::vector<CandidateScore>& scores) {
+    const XMaskPlan& plan, std::vector<CandidateScore>& scores) {
   const ObservationPoints& points = *eng_.points;
   const GoodBlockCache& goods = *eng_.goods;
   const std::size_t lanes = static_cast<std::size_t>(W) * 64;
   const std::size_t nblocks = goods.num_blocks();
-  const std::size_t wpp = (patterns.size() + 63) / 64;
   const std::size_t nwin = log.num_windows();
   const std::size_t num_workers = eng_.evals.size();
 
   std::vector<std::uint64_t> obs_diff(nwin);
-  std::uint64_t num_failing = 0;
   for (std::size_t w = 0; w < nwin; ++w) {
     obs_diff[w] = log.observed[w] ^ log.expected[w];
-    if (obs_diff[w] != 0) ++num_failing;
+  }
+
+  // What a lone diff bit adds to its window's signature, by point and by
+  // the number of patterns of its window that follow it; per pattern, its
+  // window and that number.
+  const Misr misr(log.misr);
+  const std::size_t depth =
+      std::min(static_cast<std::size_t>(log.misr.window), patterns.size());
+  const std::vector<std::uint64_t> bit_sigs =
+      misr.bit_signatures(points.size(), patterns.size());
+  std::vector<std::uint32_t> win_of(patterns.size());
+  std::vector<std::uint32_t> follow(patterns.size());
+  for (std::size_t p = 0; p < patterns.size(); ++p) {
+    const std::size_t w = p / depth;
+    const std::size_t len = std::min(depth, patterns.size() - w * depth);
+    win_of[p] = static_cast<std::uint32_t>(w);
+    follow[p] = static_cast<std::uint32_t>(len - 1 - (p - w * depth));
   }
 
   // Candidates round-robin across workers: each score slot has exactly
   // one writer, and a candidate's counters depend only on its own full
-  // diff, so the ranking is bit-identical for every (block width, thread
-  // count) configuration. Good-machine blocks come from the shared cache;
-  // past its cap each worker streams them through its own simulator (the
-  // values are identical either way).
+  // diff (XOR is order-free), so the ranking is bit-identical for every
+  // (block width, thread count) configuration. Good-machine blocks come
+  // from the shared cache; past its cap each worker streams them through
+  // its own simulator (the values are identical either way).
   eng_.pool->run_on_all([&](int t) {
     Worker& wk = workers_[static_cast<std::size_t>(t)];
     FaultConeEvaluator& ev = eng_.evals[static_cast<std::size_t>(t)];
-    wk.diff.assign(points.size() * wpp, 0);
-    wk.dirty.clear();
-    wk.dirty_mark.assign(points.size(), 0);
-    wk.diff_sigs.assign(nwin, 0);
+    wk.diff_sigs.resize(nwin);
     for (std::size_t ci = static_cast<std::size_t>(t); ci < candidates.size();
          ci += num_workers) {
       CandidateScore& sc = scores[ci];
       const Fault& f = faults[candidates[ci]];
-      bool any = false;
+      std::fill(wk.diff_sigs.begin(), wk.diff_sigs.end(), 0);
       for (std::size_t b = 0; b < nblocks; ++b) {
         const std::size_t base = b * lanes;
         const std::size_t batch = std::min(lanes, patterns.size() - base);
@@ -126,23 +132,23 @@ void SignatureDiagnoser::score_candidates(
             good, f, mask, points.observable(),
             [&](GateId gate, const PatternWord* diff) {
               points.for_each_sink_point(f, gate, [&](std::uint32_t op) {
-                PatternWord* row = wk.diff.data() + op * wpp + word0;
-                for (std::size_t w = 0; w < nwords; ++w) row[w] = diff[w];
-                if (!wk.dirty_mark[op]) {
-                  wk.dirty_mark[op] = 1;
-                  wk.dirty.push_back(op);
+                const std::uint64_t* sigs = bit_sigs.data() + op * depth;
+                const PatternWord* keep = plan.keep_row(op);
+                for (std::size_t w = 0; w < nwords; ++w) {
+                  // Lane-masked: every set bit is a real pattern.
+                  PatternWord bits = diff[w];
+                  if (keep) bits &= keep[word0 + w];
+                  const std::size_t p0 = (word0 + w) * 64;
+                  while (bits != 0) {
+                    const std::size_t p =
+                        p0 + static_cast<std::size_t>(std::countr_zero(bits));
+                    bits &= bits - 1;
+                    wk.diff_sigs[win_of[p]] ^= sigs[follow[p]];
+                  }
                 }
-                any = true;
               });
             });
       }
-      if (!any) {
-        // Unexcited candidate: predicts every window passing.
-        sc.tfsp = num_failing;
-        continue;
-      }
-      compactor.compact_rows(wk.diff, points.size(), patterns.size(), &plan,
-                             wk.diff_sigs);
       for (std::size_t w = 0; w < nwin; ++w) {
         const std::uint64_t d = wk.diff_sigs[w];
         if (obs_diff[w] != 0) {
@@ -158,12 +164,6 @@ void SignatureDiagnoser::score_candidates(
           ++sc.tpsf;
         }
       }
-      for (std::uint32_t op : wk.dirty) {
-        PatternWord* row = wk.diff.data() + op * wpp;
-        std::fill(row, row + wpp, 0);
-        wk.dirty_mark[op] = 0;
-      }
-      wk.dirty.clear();
     }
   });
 }
@@ -216,8 +216,6 @@ DiagnosisResult SignatureDiagnoser::diagnose_with(
     res.num_failures = res.num_failing_windows;
     res.num_masked = plan.num_masked();
 
-    const MisrCompactor compactor(log.misr, opts_.block_words);
-
     std::vector<std::uint32_t> candidates;
     {
       TraceSpan span(telem, "prune", 0, CounterId::kDiagPruneUs,
@@ -242,7 +240,7 @@ DiagnosisResult SignatureDiagnoser::diagnose_with(
                      &res.stats.score_us);
       dispatch_block_words(opts_.block_words, [&](auto w) {
         score_candidates<decltype(w)::value>(patterns, faults, candidates,
-                                             log, plan, compactor, scores);
+                                             log, plan, scores);
       });
     }
 

@@ -5,11 +5,16 @@
 // per-point failures (SignatureLog), so diagnosis cannot compare
 // (pattern, observation point) pairs -- it compares signatures. For a
 // single stuck-at candidate the faulty signature is predictable without
-// re-compacting the whole response: by MISR linearity
+// compacting any response: by MISR linearity
 //     sig(faulty) = sig(good) ^ sig(diff),
-// so every candidate's packed cone sweep (FaultConeEvaluator, the same
-// engine full-response diagnosis uses) collects its response diff, the
-// diff is X-masked and compacted, and windows are matched:
+// and sig(diff) is the XOR of what each set bit of the diff adds alone
+// (Misr::bit_signatures: one entry per observation point and number of
+// patterns left in the window). So every candidate's packed cone sweep
+// (FaultConeEvaluator, the same engine full-response diagnosis uses)
+// XORs, for each set bit its sink receives that the X-mask keeps, that
+// bit's table entry into the bit's window signature. The cost scales
+// with the diff's set bits, not with points x patterns. Windows are then
+// matched:
 //
 //   TFSF  window fails on the tester AND the candidate predicts exactly
 //         the observed signature (explained window)
@@ -101,7 +106,6 @@ class SignatureDiagnoser {
                         std::span<const Fault> faults,
                         std::span<const std::uint32_t> candidates,
                         const SignatureLog& log, const XMaskPlan& plan,
-                        const MisrCompactor& compactor,
                         std::vector<CandidateScore>& scores);
 
   DiagnosisOptions opts_;

@@ -70,17 +70,35 @@ std::vector<std::uint64_t> Misr::compact_scalar(const ResponseMatrix& responses,
   return out;
 }
 
+std::vector<std::uint64_t> Misr::bit_signatures(
+    std::size_t num_points, std::size_t num_patterns) const {
+  const std::size_t width = static_cast<std::size_t>(cfg_.width);
+  const std::size_t depth =
+      std::min(static_cast<std::size_t>(cfg_.window), num_patterns);
+  const std::size_t chunks = chunks_per_pattern(num_points);
+  std::vector<std::uint64_t> table(num_points * depth);
+  if (depth == 0) return table;
+  for (std::size_t op = 0; op < num_points; ++op) {
+    std::uint64_t* row = table.data() + op * depth;
+    // Injected in chunk op / width, then idled through the rest of its
+    // pattern; every following pattern idles it `chunks` more steps.
+    row[0] = idle(std::uint64_t{1} << (op % width), chunks - 1 - op / width);
+    for (std::size_t j = 1; j < depth; ++j) row[j] = idle(row[j - 1], chunks);
+  }
+  return table;
+}
+
 MisrCompactor::MisrCompactor(const MisrConfig& cfg, int block_words)
     : misr_(cfg), words_(block_words) {
   check_block_words("MisrCompactor", "block_words", block_words);
 }
 
 template <int W>
-void MisrCompactor::compact_impl(std::span<const PatternWord> rows,
-                                 std::size_t num_points,
-                                 std::size_t num_patterns,
+void MisrCompactor::compact_impl(const ResponseMatrix& responses,
                                  const XMaskPlan* mask,
                                  std::span<std::uint64_t> out) const {
+  const std::size_t num_points = responses.num_points;
+  const std::size_t num_patterns = responses.num_patterns;
   const std::size_t width = static_cast<std::size_t>(misr_.width());
   const std::size_t window = static_cast<std::size_t>(misr_.config().window);
   const std::size_t chunks = misr_.chunks_per_pattern(num_points);
@@ -122,7 +140,7 @@ void MisrCompactor::compact_impl(std::span<const PatternWord> rows,
       for (std::size_t i = 0; i < width; ++i) {
         const std::size_t op = c * width + i;
         if (op >= num_points) break;
-        const PatternWord* row = rows.data() + op * wpp + w0;
+        const PatternWord* row = responses.row(op) + w0;
         if (const PatternWord* keep = mask ? mask->keep_row(op) : nullptr) {
           for (std::size_t w = 0; w < nw; ++w) {
             state[i * W + w] ^= row[w] & keep[w0 + w];
@@ -153,32 +171,23 @@ void MisrCompactor::compact_impl(std::span<const PatternWord> rows,
   }
 }
 
-void MisrCompactor::compact_rows(std::span<const PatternWord> rows,
-                                 std::size_t num_points,
-                                 std::size_t num_patterns,
-                                 const XMaskPlan* mask,
-                                 std::span<std::uint64_t> out) const {
-  SP_CHECK(out.size() == num_windows(num_patterns),
+void MisrCompactor::compact(const ResponseMatrix& responses,
+                            const XMaskPlan* mask,
+                            std::span<std::uint64_t> out) const {
+  SP_CHECK(out.size() == num_windows(responses.num_patterns),
            "MisrCompactor: output span does not match the window count");
-  SP_CHECK(rows.size() >= num_points * ((num_patterns + 63) / 64),
+  SP_CHECK(responses.words.size() >=
+               responses.num_points * responses.words_per_point(),
            "MisrCompactor: response rows too short");
   if (mask && !mask->any_masked()) mask = nullptr;  // empty plan: no masking
   if (mask) {
-    SP_CHECK(mask->num_points() == num_points &&
+    SP_CHECK(mask->num_points() == responses.num_points &&
                  mask->num_windows() == out.size(),
              "MisrCompactor: X-mask plan shape mismatch");
   }
   dispatch_block_words(words_, [&](auto w) {
-    compact_impl<decltype(w)::value>(rows, num_points, num_patterns, mask,
-                                     out);
+    compact_impl<decltype(w)::value>(responses, mask, out);
   });
-}
-
-void MisrCompactor::compact(const ResponseMatrix& responses,
-                            const XMaskPlan* mask,
-                            std::span<std::uint64_t> out) const {
-  compact_rows(responses.words, responses.num_points, responses.num_patterns,
-               mask, out);
 }
 
 std::vector<std::uint64_t> MisrCompactor::compact(

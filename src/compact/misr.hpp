@@ -24,9 +24,12 @@
 //    width.
 //
 // Everything here is linear over GF(2): sig(A ^ B) == sig(A) ^ sig(B)
-// for response matrices A, B (windows start from state 0), which is what
-// lets diagnosis predict a candidate's faulty signature as
-// good_signature ^ sig(diff) without re-compacting the full response.
+// for response matrices A, B (windows start from state 0). So a window's
+// signature is the XOR of what each of its set response bits adds on its
+// own, and that depends only on the bit's point and on how many patterns
+// of the window follow it. Misr::bit_signatures tabulates exactly that,
+// which lets diagnosis predict a candidate's signature diff from the set
+// bits of its response diff alone, without compacting a diff matrix.
 
 #include <cstdint>
 #include <span>
@@ -97,6 +100,17 @@ class Misr {
   std::vector<std::uint64_t> compact_scalar(
       const ResponseMatrix& responses, const XMaskPlan* mask = nullptr) const;
 
+  /// Per-bit window signatures: num_points rows of
+  /// depth = min(window, num_patterns) words. Entry (op, j) is the
+  /// signature a lone 1 at point `op` leaves in its window when `j` more
+  /// patterns of that window follow it:
+  ///     idle(idle(1 << op % width, C - 1 - op / width), j * C),
+  /// with C = chunks_per_pattern(num_points). A window's signature is the
+  /// XOR of the entries of its unmasked set bits. `num_patterns` only
+  /// caps the depth, since no window is longer than the pattern set.
+  std::vector<std::uint64_t> bit_signatures(std::size_t num_points,
+                                            std::size_t num_patterns) const;
+
  private:
   MisrConfig cfg_;
   std::uint64_t poly_ = 0;
@@ -126,18 +140,9 @@ class MisrCompactor {
   std::vector<std::uint64_t> compact(const ResponseMatrix& responses,
                                      const XMaskPlan* mask = nullptr) const;
 
-  /// Raw-row variant for reused scratch buffers (diagnosis scores
-  /// candidates out of a per-worker diff buffer without wrapping it in a
-  /// ResponseMatrix): `rows` holds num_points * words_per_point words in
-  /// ResponseMatrix row order.
-  void compact_rows(std::span<const PatternWord> rows, std::size_t num_points,
-                    std::size_t num_patterns, const XMaskPlan* mask,
-                    std::span<std::uint64_t> out) const;
-
  private:
   template <int W>
-  void compact_impl(std::span<const PatternWord> rows, std::size_t num_points,
-                    std::size_t num_patterns, const XMaskPlan* mask,
+  void compact_impl(const ResponseMatrix& responses, const XMaskPlan* mask,
                     std::span<std::uint64_t> out) const;
 
   Misr misr_;

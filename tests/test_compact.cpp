@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
@@ -148,6 +151,57 @@ TEST(MisrTest, PackedMatchesScalarEveryWidth) {
       }
     }
   }
+}
+
+// Property: entry (op, j) of the per-bit table is the signature of a
+// response with one 1 at point `op` followed by j more patterns of its
+// window -- in a full window and in the partial final one -- and that
+// response leaves every other window at 0. Point counts are not a
+// multiple of the register width, so the last chunk is partial.
+TEST(MisrTest, BitSignaturesMatchOneHotCompaction) {
+  const std::size_t num_points = 70;    // a partial chunk at every width
+  const std::size_t num_patterns = 45;  // 45 % 7 == 3, 45 % 32 == 13
+  ResponseMatrix one;
+  one.num_points = num_points;
+  one.num_patterns = num_patterns;
+  one.words.assign(num_points * one.words_per_point(), 0);
+  for (const int width : {4, 8, 32, 64}) {
+    for (const int window : {1, 7, 32}) {
+      const MisrConfig cfg{.width = width, .window = window};
+      const Misr misr(cfg);
+      const std::size_t depth = static_cast<std::size_t>(window);
+      const std::vector<std::uint64_t> table =
+          misr.bit_signatures(num_points, num_patterns);
+      ASSERT_EQ(table.size(), num_points * depth);
+
+      const std::size_t nwin = cfg.num_windows(num_patterns);
+      const std::size_t last0 = (nwin - 1) * depth;  // final window start
+      const std::size_t last_len = num_patterns - last0;
+      for (std::size_t op = 0; op < num_points; ++op) {
+        for (std::size_t j = 0; j < depth; ++j) {
+          // The first window, then the partial final one when it is long
+          // enough for j followers.
+          std::vector<std::pair<std::size_t, std::size_t>> cases = {
+              {0, depth - 1 - j}};
+          if (j < last_len) cases.emplace_back(nwin - 1, num_patterns - 1 - j);
+          for (const auto& [win, p] : cases) {
+            one.set_bit(op, p);
+            const std::vector<std::uint64_t> sig = misr.compact_scalar(one);
+            one.row(op)[p / 64] = 0;
+            for (std::size_t w = 0; w < nwin; ++w) {
+              ASSERT_EQ(sig[w], w == win ? table[op * depth + j] : 0u)
+                  << "width " << width << " window " << window << " op " << op
+                  << " j " << j << " pattern " << p << " window " << w;
+            }
+          }
+        }
+      }
+    }
+  }
+  // No window is longer than the pattern set, so neither is the table.
+  const Misr wide(MisrConfig{.width = 16, .window = 1 << 20});
+  EXPECT_EQ(wide.bit_signatures(num_points, num_patterns).size(),
+            num_points * num_patterns);
 }
 
 // Single-bit corruptions can never alias (the register transition is
@@ -623,6 +677,79 @@ TEST(SignatureDiagnoseTest, DiagnosesThroughXMasking) {
     EXPECT_TRUE(res.ranked[0].exact());
   }
   EXPECT_GE(diagnosed, 8);
+}
+
+// Every candidate's window counters equal the comparison of the log with
+// the signatures the tester records for a chip carrying that candidate
+// (SignatureCapture::inject: full fault simulation, then dense packed
+// compaction), at every block width and thread count. X-carrying
+// patterns give a non-empty mask plan; 300 patterns give two W = 4
+// blocks and a partial final window for windows 7 and 32.
+TEST(SignatureDiagnoseTest, ScoresMatchInjectedSignatures) {
+  struct Case {
+    const char* circuit;
+    std::size_t fault_stride;  // every candidate, or a stride sample
+  };
+  for (const Case& c : {Case{"s27", 1}, Case{"s344", 1}, Case{"s1423", 23}}) {
+    const Netlist nl = map_to_nand_nor_inv(
+        std::string(c.circuit) == "s27" ? make_s27()
+                                        : make_iscas89_like(c.circuit));
+    const auto all_faults = collapse_faults(nl);
+    std::vector<Fault> faults;
+    for (std::size_t fi = 0; fi < all_faults.size(); fi += c.fault_stride) {
+      faults.push_back(all_faults[fi]);
+    }
+    auto pats = random_patterns(nl, 300, 0x5c0e + faults.size());
+    Rng xr(0x7e57);
+    for (TestPattern& p : pats) {
+      for (Logic& v : p.pi) {
+        if (xr.next_below(8) == 0) v = Logic::X;
+      }
+    }
+    for (const MisrConfig cfg : {MisrConfig{.width = 8, .window = 1},
+                                 MisrConfig{.width = 16, .window = 7},
+                                 MisrConfig{.width = 64, .window = 32}}) {
+      SignatureCapture cap(nl, cfg, 4);
+      cap.bind(pats);
+      ASSERT_TRUE(cap.mask().any_masked()) << c.circuit;
+      // The tester's view of every candidate, and a log to diagnose.
+      std::vector<std::vector<std::uint64_t>> observed;
+      for (const Fault& f : faults) {
+        observed.push_back(cap.inject(pats, f).observed);
+      }
+      std::size_t pick = faults.size() / 2;
+      while (pick < faults.size() && observed[pick] == cap.expected()) ++pick;
+      ASSERT_LT(pick, faults.size()) << c.circuit;
+      const SignatureLog log = cap.inject(pats, faults[pick]);
+      ASSERT_GT(log.num_failing_windows(), 0u) << c.circuit;
+
+      for (int words : {1, 4}) {
+        for (int threads : {1, 4}) {
+          SignatureDiagnoser diag(nl, DiagnosisOptions{.block_words = words,
+                                                       .num_threads = threads,
+                                                       .cone_pruning = false});
+          const DiagnosisResult res = diag.diagnose(pats, faults, log);
+          ASSERT_EQ(res.ranked.size(), faults.size());
+          for (const CandidateScore& sc : res.ranked) {
+            CandidateScore want;
+            const std::vector<std::uint64_t>& sim = observed[sc.fault_index];
+            for (std::size_t w = 0; w < log.num_windows(); ++w) {
+              const std::uint64_t obs = log.observed[w] ^ log.expected[w];
+              const std::uint64_t d = sim[w] ^ log.expected[w];
+              if (obs != 0 && d == obs) ++want.tfsf;
+              if (obs != 0 && d != obs) ++want.tfsp;
+              if (d != 0 && d != obs) ++want.tpsf;
+            }
+            ASSERT_EQ(std::tie(sc.tfsf, sc.tfsp, sc.tpsf),
+                      std::tie(want.tfsf, want.tfsp, want.tpsf))
+                << c.circuit << " " << sc.fault.to_string(nl) << " width "
+                << cfg.width << " window " << cfg.window << " W=" << words
+                << " T=" << threads;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------- acceptance: every profile, deterministic, rank-1 ----------------
