@@ -352,10 +352,17 @@ void BM_MisrCompact(benchmark::State& state) {
 BENCHMARK(BM_MisrCompact)->Unit(benchmark::kMillisecond)
     ->Arg(0)->Arg(1)->Arg(4)->Arg(8);
 
-// Compacted-diagnosis variant of BM_DiagnosisS9234: one full
-// SignatureDiagnoser::diagnose() against the MISR signature log of the
-// same injected fault (default width/window). Args are (block words W,
-// worker threads); rankings are bit-identical across configurations.
+// Compacted-diagnosis variant of BM_DiagnosisS9234: the MISR signature
+// log of the same injected fault (default width/window), diagnosed
+// against the full collapsed list. Args are (block words W, worker
+// threads, warm):
+//  - warm = 0: one standalone SignatureDiagnoser::diagnose(), which
+//    builds the X-mask plan, expected signatures and diff table per call
+//    and sweeps every candidate;
+//  - warm = 1: ScanSession::diagnose() on a session where one earlier
+//    signature log (another fault, same MISR configuration) has filled
+//    the diff table, so the log reads rows instead of sweeping.
+// Rankings are bit-identical across configurations and legs.
 void BM_DiagnosisS9234Compact(benchmark::State& state) {
   const Netlist& nl = circuit("s9234");
   const auto faults = collapse_faults(nl);
@@ -381,19 +388,39 @@ void BM_DiagnosisS9234Compact(benchmark::State& state) {
   DiagnosisOptions opts;
   opts.block_words = static_cast<int>(state.range(0));
   opts.num_threads = static_cast<int>(state.range(1));
-  SignatureDiagnoser diag(nl, opts);
-  for (auto _ : state) {
-    const DiagnosisResult res = diag.diagnose(pats, faults, log);
-    benchmark::DoNotOptimize(res.ranked.data());
+  if (state.range(2) == 0) {
+    SignatureDiagnoser diag(nl, opts);
+    for (auto _ : state) {
+      const DiagnosisResult res = diag.diagnose(pats, faults, log);
+      benchmark::DoNotOptimize(res.ranked.data());
+    }
+  } else {
+    FlowOptions fopts;
+    fopts.diag = opts;
+    ScanSession session(nl, fopts);
+    session.bind_patterns(pats);
+    std::size_t earlier = injected + 1;
+    while (earlier < faults.size() && !det.detected[earlier]) ++earlier;
+    SP_CHECK(earlier < faults.size(),
+             "BM_DiagnosisS9234Compact: no second detected fault");
+    benchmark::DoNotOptimize(
+        session.diagnose(Evidence(capture.inject(pats, faults[earlier]))));
+    const Evidence evidence(log);
+    for (auto _ : state) {
+      const DiagnosisResult res = session.diagnose(evidence);
+      benchmark::DoNotOptimize(res.ranked.data());
+    }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(faults.size()));
 }
 BENCHMARK(BM_DiagnosisS9234Compact)
     ->Unit(benchmark::kMillisecond)
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({4, 4});
+    ->Args({1, 1, 0})
+    ->Args({4, 1, 0})
+    ->Args({4, 4, 0})
+    ->Args({4, 1, 1})
+    ->Args({4, 4, 1});
 
 // The service-API acceptance kernel: 8 independent single-fault failure
 // logs against the s9234-like profile (256 patterns, full collapsed

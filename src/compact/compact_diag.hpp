@@ -13,8 +13,21 @@
 // (FaultConeEvaluator, the same engine full-response diagnosis uses)
 // XORs, for each set bit its sink receives that the X-mask keeps, that
 // bit's table entry into the bit's window signature. The cost scales
-// with the diff's set bits, not with points x patterns. Windows are then
-// matched:
+// with the diff's set bits, not with points x patterns.
+//
+// A candidate's per-window signature diff depends only on (pattern set,
+// MISR configuration, fault), never on the log, so it is a lazily built
+// signature fault dictionary (SignatureDiffTable, held by the
+// SignatureCapture of that configuration): a candidate whose row is
+// filled skips its sweep, any other sweeps and stores its row. Only the
+// candidates a log prunes to are swept, so the first log of a
+// configuration costs what an uncached one does and later logs mostly
+// read rows. A stored row is exactly what the sweep computes, so no result
+// depends on the table's history; each candidate has one writer, so
+// workers never share a row. (Past SignatureDiffTable::kMaxWords no rows
+// are kept and every candidate sweeps.)
+//
+// A candidate's window signature diffs are then matched against the log:
 //
 //   TFSF  window fails on the tester AND the candidate predicts exactly
 //         the observed signature (explained window)
@@ -56,16 +69,17 @@ namespace scanpower {
 
 class SignatureDiagnoser {
  public:
-  /// Standalone: owns its engine state (DiagnosisEngine) and rebuilds
-  /// the X-mask plan plus expected signatures on every diagnose() call.
+  /// Standalone: owns its engine state (DiagnosisEngine) and builds a
+  /// fresh compaction state (X-mask plan, expected signatures, diff
+  /// table) on every diagnose() call, so calls share nothing.
   /// Takes the engine knobs from DiagnosisOptions (block_words,
   /// num_threads, backend, cone_pruning); the MISR configuration comes
   /// from the diagnosed log. score_early_exit does not apply -- window
   /// counters are too coarse for a sound mid-sweep bound -- and is ignored.
   explicit SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts = {});
   /// Borrowing: shares a ScanSession's engine state; the session also
-  /// caches (X-mask plan, expected signatures) per MISR configuration and
-  /// hands them to diagnose_with().
+  /// keeps one SignatureCapture per MISR configuration and hands it to
+  /// diagnose_with().
   SignatureDiagnoser(const Netlist& nl, DiagnosisOptions opts,
                      ThreadPool& pool, const ObservationPoints& points,
                      ObservationConeCache& cones, GoodBlockCache& goods);
@@ -84,15 +98,15 @@ class SignatureDiagnoser {
                            const SignatureLog& log);
 
   /// Precomputed-state variant used by ScanSession: `patterns` must be
-  /// fully specified (the session's zero-filled view), `plan` the X-mask
-  /// plan of the original patterns at the log's window size, and
-  /// `expected` the good-machine window signatures under that plan --
-  /// the state diagnose() rebuilds per call.
+  /// fully specified (the session's zero-filled view), and `state` bound
+  /// to the original patterns under the log's MISR configuration. Its
+  /// X-mask plan and expected signatures are used as they are; its diff
+  /// table is read and filled, indexed by the position in `faults` (a
+  /// different fault list clears it).
   DiagnosisResult diagnose_with(std::span<const TestPattern> patterns,
                                 std::span<const Fault> faults,
                                 const SignatureLog& log,
-                                const XMaskPlan& plan,
-                                std::span<const std::uint64_t> expected);
+                                SignatureCapture& state);
 
  private:
   struct Worker;
@@ -106,6 +120,7 @@ class SignatureDiagnoser {
                         std::span<const Fault> faults,
                         std::span<const std::uint32_t> candidates,
                         const SignatureLog& log, const XMaskPlan& plan,
+                        SignatureDiffTable& table,
                         std::vector<CandidateScore>& scores);
 
   DiagnosisOptions opts_;

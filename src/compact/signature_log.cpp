@@ -216,6 +216,7 @@ void SignatureCapture::bind(std::span<const TestPattern> patterns) {
                     capture_.block_words(), backend_);
   const ResponseMatrix good = capture_.capture_good(effective_patterns());
   expected_ = compactor_.compact(good, &mask_);
+  diffs_ = {};
 }
 
 namespace {

@@ -57,8 +57,32 @@ SignatureLog load_signature_log(std::istream& in);
 void save_signature_log_file(const std::string& path, const SignatureLog& log);
 SignatureLog load_signature_log_file(const std::string& path);
 
+/// Signature fault dictionary of one (pattern set, MISR configuration),
+/// filled lazily by SignatureDiagnoser (see compact_diag.hpp): row i holds
+/// the per-window signature diff of fault i of `faults`, valid once
+/// filled[i] is set. Plain data; SignatureCapture owns one and clears it
+/// whenever bind() takes new pattern content.
+struct SignatureDiffTable {
+  /// Rows are kept only up to this many words (32 MiB); past it every
+  /// candidate sweeps, as a one-pattern window over a large test set
+  /// would need gigabytes.
+  static constexpr std::size_t kMaxWords = std::size_t{1} << 22;
+
+  std::vector<Fault> faults;          ///< the list rows are indexed by
+  std::vector<std::uint64_t> rows;    ///< faults x windows; empty past kMaxWords
+  std::vector<std::uint8_t> filled;   ///< per fault; empty past kMaxWords
+  // What one diff bit adds to its window's signature (Misr::bit_signatures,
+  // `depth` entries per point) and, per pattern, its window and the number
+  // of window patterns after it. Built on the first sweep after a bind.
+  std::vector<std::uint64_t> bit_sigs;
+  std::size_t depth = 0;
+  std::vector<std::uint32_t> win_of;
+  std::vector<std::uint32_t> follow;
+};
+
 /// Synthetic MISR tester: expected signatures, X-mask plan and fault
-/// injection for one pattern set.
+/// injection for one pattern set; also the per-configuration compaction
+/// state a ScanSession diagnoses signature logs against.
 class SignatureCapture {
  public:
   explicit SignatureCapture(const Netlist& nl, MisrConfig cfg = {},
@@ -69,14 +93,21 @@ class SignatureCapture {
   const ObservationPoints& points() const { return capture_.points(); }
 
   /// Binds a pattern set: zero-fills X bits for the binary response
-  /// sweep, captures the good-machine signatures and builds the X-mask
-  /// plan. inject() binds implicitly; a pattern set equal to the bound
-  /// one (compared by content) reuses the cached capture.
+  /// sweep, captures the good-machine signatures, builds the X-mask plan
+  /// and clears the diff table. inject() binds implicitly; a pattern set
+  /// equal to the bound one (compared by content) reuses all of it.
   void bind(std::span<const TestPattern> patterns);
 
   /// Valid after bind()/inject().
   const XMaskPlan& mask() const { return mask_; }
   const std::vector<std::uint64_t>& expected() const { return expected_; }
+  /// The bound patterns with X bits zero-filled (the bound copy itself
+  /// when it carries none).
+  std::span<const TestPattern> effective_patterns() const {
+    return filled_.empty() ? std::span<const TestPattern>(bound_)
+                           : std::span<const TestPattern>(filled_);
+  }
+  SignatureDiffTable& diff_table() { return diffs_; }
 
   /// The signature log a MISR tester records for a chip carrying exactly
   /// fault `f` under `patterns`.
@@ -89,11 +120,6 @@ class SignatureCapture {
                       std::span<const Fault> faults);
 
  private:
-  std::span<const TestPattern> effective_patterns() const {
-    return filled_.empty() ? std::span<const TestPattern>(bound_)
-                           : std::span<const TestPattern>(filled_);
-  }
-
   const Netlist* nl_;
   MisrConfig cfg_;
   SimBackend backend_ = SimBackend::Auto;
@@ -105,6 +131,7 @@ class SignatureCapture {
   std::vector<TestPattern> filled_;  ///< X zero-filled copy; empty if not needed
   XMaskPlan mask_;
   std::vector<std::uint64_t> expected_;
+  SignatureDiffTable diffs_;
 };
 
 }  // namespace scanpower

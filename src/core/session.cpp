@@ -235,9 +235,9 @@ ResponseCapture& ScanSession::capture() {
 SignatureCapture& ScanSession::compact_state(const MisrConfig& cfg) {
   // Each entry is a self-contained SignatureCapture (own pattern copy +
   // response capture); the duplication is bounded by the handful of MISR
-  // configurations a session sees, and none of it sits on the diagnosis
-  // hot path -- entries only build the per-config plan/expected once and
-  // serve synthetic injection.
+  // configurations a session sees. An entry builds the per-config plan and
+  // expected signatures once per bound pattern set, holds the diff table
+  // compacted diagnosis fills, and serves synthetic injection.
   (void)Misr(cfg);  // full MISR validation before keying on resolved_poly()
   const auto key = std::make_tuple(cfg.width, cfg.resolved_poly(), cfg.window);
   auto it = compact_.find(key);
@@ -315,8 +315,8 @@ DiagnosisResult ScanSession::diagnose_compacted(const SignatureLog& log) {
   telemetry_.metrics.add(0, CounterId::kSessionDiagnoseCompact);
   TraceSpan span(&telemetry_, "session.diagnose_compacted", 0);
   SignatureCapture& cs = compact_state(log.misr);
-  DiagnosisResult res = sig_diagnoser().diagnose_with(
-      effective_patterns(), faults(), log, cs.mask(), cs.expected());
+  DiagnosisResult res =
+      sig_diagnoser().diagnose_with(effective_patterns(), faults(), log, cs);
   SP_LOG_INFO(strprintf(
       "compacted diagnosis[%s]: %zu/%zu failing windows (MISR width %d, "
       "window %d, %zu masked point-windows) -> %zu/%zu candidates, best %s "
@@ -357,8 +357,9 @@ std::vector<DiagnosisResult> ScanSession::diagnose_batch(
   // Full-response logs are batched: prune serially, then fan the logs
   // round-robin across the worker pool (each log scored wholly within one
   // worker). Compacted logs keep their per-log pool-parallel candidate
-  // sweep; their shared state (plan, expected signatures, good blocks) is
-  // already cached on the session, so there is nothing left to batch.
+  // sweep; their shared state (plan, expected signatures, diff table, good
+  // blocks) is already cached on the session, so there is nothing left to
+  // batch.
   std::vector<const FailureLog*> full;
   std::vector<std::size_t> full_at;
   for (std::size_t i = 0; i < evidence.size(); ++i) {

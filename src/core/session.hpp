@@ -23,9 +23,12 @@
 // internally, so callers hit one entry point regardless of tester
 // compaction. Cache keys: the bound pattern set (by content) keys the
 // zero-filled view, the good-block cache and the good response matrix;
-// each MisrConfig keys one (X-mask plan, expected signatures) entry on
-// top of that. Every result is bit-identical to the one-shot legacy entry
-// points for any (block_words, num_threads) configuration -- the engines'
+// each MisrConfig keys one (X-mask plan, expected signatures, signature
+// diff table) entry on top of that. The diff table fills lazily with the
+// per-window signature diff of every candidate a compacted log is scored
+// against, so later logs under that configuration skip those sweeps.
+// Every result is bit-identical to the one-shot legacy entry points for
+// any (block_words, num_threads) configuration -- the engines'
 // determinism contracts make shared pools and caches result-neutral.
 //
 // Thread-safety: a session is a single-threaded object (its methods fan
@@ -195,12 +198,12 @@ class ScanSession {
   ScanPowerResult evaluate_power(const Netlist& n, const TestSet& tests,
                                  std::span<const Logic> pi_control,
                                  std::span<const Logic> mux_control);
-  /// (X-mask plan, expected signatures, synthetic tester) of one MISR
-  /// configuration over the bound pattern set.
   ObservationConeCache& cones();
   Diagnoser& diagnoser();
   SignatureDiagnoser& sig_diagnoser();
   ResponseCapture& capture();
+  /// (X-mask plan, expected signatures, diff table, synthetic tester) of
+  /// one MISR configuration over the bound pattern set.
   SignatureCapture& compact_state(const MisrConfig& cfg);
 
   std::span<const TestPattern> effective_patterns() const {

@@ -42,6 +42,8 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "diag.multiplets",
     "compact_diag.queries",
     "compact_diag.candidates",
+    "compact.diff_cache_hits",
+    "compact.diff_cache_fills",
     "cone_cache.hits",
     "cone_cache.misses",
     "good_cache.binds",

@@ -86,9 +86,12 @@ enum class CounterId : int {
   kDiagDropped,        ///< candidates dropped by the scoring early-exit
   kDiagUnionFallbacks, ///< noise-recovery union re-prunes taken
   kDiagMultiplets,     ///< suspect sets emitted
-  // compacted diagnosis (semantic)
+  // compacted diagnosis (semantic; the diff-table tallies depend on the
+  // session's earlier queries, so they are fixed for a fixed sequence)
   kCompactQueries,
   kCompactCandidates,
+  kCompactDiffCacheHits,   ///< candidates scored from a filled diff row
+  kCompactDiffCacheFills,  ///< candidates swept (hits + fills = candidates)
   // shared caches
   kConeCacheHits,
   kConeCacheMisses,

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -30,6 +31,7 @@
 #include "sim/simulator.hpp"
 #include "techmap/techmap.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanpower {
 namespace {
@@ -585,6 +587,17 @@ TEST(SignatureDiagnoseTest, RejectsMismatchedLog) {
   SignatureLog wrong_expected = log;
   wrong_expected.expected[0] ^= 1;
   EXPECT_THROW(diag.diagnose(pats, faults, wrong_expected), Error);
+
+  // diagnose_with() needs a compaction state bound under the log's MISR
+  // configuration to a set of the log's pattern count.
+  SignatureCapture other_cfg(nl, MisrConfig{.window = 8}, 1);
+  other_cfg.bind(pats);
+  EXPECT_THROW(diag.diagnose_with(other_cfg.effective_patterns(), faults, log,
+                                  other_cfg),
+               Error);
+  const std::vector<TestPattern> fewer(pats.begin(), pats.end() - 1);
+  cap.bind(fewer);
+  EXPECT_THROW(diag.diagnose_with(pats, faults, log, cap), Error);
 }
 
 // No failing windows: exact candidates are exactly the faults this
@@ -749,6 +762,100 @@ TEST(SignatureDiagnoseTest, ScoresMatchInjectedSignatures) {
         }
       }
     }
+  }
+}
+
+/// Table hits and fills one diagnose_with() call adds to `telem`.
+std::pair<std::uint64_t, std::uint64_t> diff_table_deltas(
+    Telemetry& telem, const std::function<void()>& query) {
+  const MetricsSnapshot before = telem.metrics.snapshot();
+  query();
+  const MetricsSnapshot after = telem.metrics.snapshot();
+  return {after.counter(CounterId::kCompactDiffCacheHits) -
+              before.counter(CounterId::kCompactDiffCacheHits),
+          after.counter(CounterId::kCompactDiffCacheFills) -
+              before.counter(CounterId::kCompactDiffCacheFills)};
+}
+
+void expect_same_ranking(const DiagnosisResult& a, const DiagnosisResult& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.num_candidates, b.num_candidates) << what;
+  ASSERT_EQ(a.ranked.size(), b.ranked.size()) << what;
+  for (std::size_t i = 0; i < a.ranked.size(); ++i) {
+    ASSERT_EQ(a.ranked[i].fault_index, b.ranked[i].fault_index) << what;
+    ASSERT_EQ(std::tie(a.ranked[i].tfsf, a.ranked[i].tfsp, a.ranked[i].tpsf),
+              std::tie(b.ranked[i].tfsf, b.ranked[i].tfsp, b.ranked[i].tpsf))
+        << what << " @" << i;
+  }
+}
+
+// The diff table is indexed by the position in the diagnosed fault list,
+// so a compaction state handed another list must drop its rows: every
+// result still equals a standalone diagnosis of that list, and the first
+// query after each switch fills every candidate.
+TEST(SignatureDiffTableTest, AnotherFaultListClearsTheRows) {
+  const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s344"));
+  std::vector<Fault> all = collapse_faults(nl);
+  std::vector<Fault> half;
+  for (std::size_t fi = 1; fi < all.size(); fi += 2) half.push_back(all[fi]);
+  const auto pats = random_patterns(nl, 64, 0xd1f7);
+  SignatureCapture state(nl, MisrConfig{.window = 16}, 4);
+  SignatureLog log;
+  for (std::size_t fi = all.size() / 3;
+       fi < all.size() && log.num_failing_windows() == 0; ++fi) {
+    log = state.inject(pats, all[fi]);
+  }
+  ASSERT_GT(log.num_failing_windows(), 0u);
+
+  Telemetry telem;
+  SignatureDiagnoser diag(nl, DiagnosisOptions{.telemetry = &telem});
+  SignatureDiagnoser one_shot(nl, DiagnosisOptions{});
+  // Only the last query repeats its predecessor's fault list.
+  const std::vector<Fault>* const lists[] = {&all, &half, &all, &all};
+  for (std::size_t q = 0; q < std::size(lists); ++q) {
+    const std::vector<Fault>& faults = *lists[q];
+    DiagnosisResult res;
+    const auto [hits, fills] = diff_table_deltas(telem, [&] {
+      res = diag.diagnose_with(state.effective_patterns(), faults, log, state);
+    });
+    expect_same_ranking(res, one_shot.diagnose(pats, faults, log),
+                        "query " + std::to_string(q));
+    if (!kTelemetryEnabled) continue;
+    EXPECT_GT(res.num_candidates, 0u);
+    EXPECT_EQ(hits, q == 3 ? res.num_candidates : 0u) << q;
+    EXPECT_EQ(fills, q == 3 ? 0u : res.num_candidates) << q;
+  }
+}
+
+// Past SignatureDiffTable::kMaxWords the table keeps no rows: a log
+// diagnosed twice sweeps every candidate both times, and the results
+// equal the standalone engine's. s5378 with one-pattern windows over 320
+// patterns needs 13508 x 320 words, just past the cap.
+TEST(SignatureDiffTableTest, PastTheCapEveryCandidateSweeps) {
+  const Netlist nl = map_to_nand_nor_inv(make_iscas89_like("s5378"));
+  const auto faults = collapse_faults(nl);
+  const auto pats = random_patterns(nl, 320, 0xca9);
+  const MisrConfig cfg{.window = 1};
+  ASSERT_GT(faults.size() * cfg.num_windows(pats.size()),
+            SignatureDiffTable::kMaxWords);
+  SignatureCapture state(nl, cfg, 4);
+  Telemetry telem;
+  SignatureDiagnoser diag(nl,
+                          DiagnosisOptions{.num_threads = 0, .telemetry = &telem});
+  SignatureDiagnoser one_shot(nl, DiagnosisOptions{.num_threads = 0});
+  const SignatureLog log = state.inject(pats, faults[faults.size() / 3]);
+  const DiagnosisResult ref = one_shot.diagnose(pats, faults, log);
+  for (int rep = 0; rep < 2; ++rep) {
+    DiagnosisResult res;
+    const auto [hits, fills] = diff_table_deltas(telem, [&] {
+      res = diag.diagnose_with(state.effective_patterns(), faults, log, state);
+    });
+    expect_same_ranking(res, ref, "past cap");
+    EXPECT_TRUE(state.diff_table().rows.empty());
+    if (!kTelemetryEnabled) continue;
+    EXPECT_EQ(hits, 0u);
+    EXPECT_EQ(fills, res.num_candidates);
+    EXPECT_GT(res.stats.sweep_calls, 0u);
   }
 }
 

@@ -12,10 +12,15 @@
 //     bit-identical to sequential diagnose() calls, including under a
 //     concurrent (4-worker) pool; this test is the ThreadSanitizer hook
 //     for the batch fan-out.
+//  4. The signature diff table -- compacted results equal the standalone
+//     engine's whatever the table holds: query order, alternating MISR
+//     configurations, rebinds, X-masked partial fills and batches.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "atpg/fault_sim.hpp"
@@ -70,6 +75,28 @@ void expect_same_result(const DiagnosisResult& a, const DiagnosisResult& b,
     ASSERT_EQ(a.ranked[i].tfsp, b.ranked[i].tfsp) << what << " @" << i;
     ASSERT_EQ(a.ranked[i].tpsf, b.ranked[i].tpsf) << what << " @" << i;
     ASSERT_EQ(a.ranked[i].dropped, b.ranked[i].dropped) << what << " @" << i;
+  }
+}
+
+/// expect_same_result plus the fields it leaves out; every field of a
+/// result but the timing and work tallies in `stats`.
+void expect_same_fields(const DiagnosisResult& a, const DiagnosisResult& b,
+                        const std::string& what) {
+  expect_same_result(a, b, what);
+  EXPECT_EQ(a.num_failing_patterns, b.num_failing_patterns) << what;
+  EXPECT_EQ(a.num_failing_points, b.num_failing_points) << what;
+  EXPECT_EQ(a.num_masked, b.num_masked) << what;
+  EXPECT_EQ(a.union_fallback, b.union_fallback) << what;
+  ASSERT_EQ(a.multiplets.size(), b.multiplets.size()) << what;
+  for (std::size_t i = 0; i < a.multiplets.size(); ++i) {
+    const SuspectSet& x = a.multiplets[i];
+    const SuspectSet& y = b.multiplets[i];
+    EXPECT_EQ(x.covered, y.covered) << what << " set " << i;
+    EXPECT_EQ(x.uncovered, y.uncovered) << what << " set " << i;
+    ASSERT_EQ(x.members.size(), y.members.size()) << what << " set " << i;
+    for (std::size_t m = 0; m < x.members.size(); ++m) {
+      EXPECT_EQ(x.members[m].fault, y.members[m].fault) << what << " set " << i;
+    }
   }
 }
 
@@ -394,8 +421,12 @@ TEST(SessionBatchTest, ConcurrentMixedBatchMatchesSequential) {
 
   const std::vector<DiagnosisResult> batch = session.diagnose_batch(evidence);
   ASSERT_EQ(batch.size(), evidence.size());
+  // The sequential reference starts cold: the batch filled `session`'s
+  // signature diff table, so its compacted entries would sweep nothing.
+  ScanSession cold(Netlist(nl), opts);
+  cold.bind_patterns(pats);
   for (std::size_t i = 0; i < evidence.size(); ++i) {
-    const DiagnosisResult seq = session.diagnose(evidence[i]);
+    const DiagnosisResult seq = cold.diagnose(evidence[i]);
     expect_same_result(batch[i], seq, "batch entry " + std::to_string(i));
     EXPECT_EQ(batch[i].rank_of(injected[i]), 1u) << i;
     // Work counts do not depend on the schedule or the thread count.
@@ -451,6 +482,148 @@ TEST(SessionBatchTest, StreamingBatchMatchesSequential) {
     EXPECT_EQ(batch[i].rank_of(injected[i]), 1u);
     EXPECT_EQ(batch[i].stats.sweep_calls, seq.stats.sweep_calls) << i;
     EXPECT_EQ(batch[i].stats.sweep_aborts, seq.stats.sweep_aborts) << i;
+  }
+}
+
+// ---------- signature diff table ---------------------------------------------
+
+// The per-configuration signature diff table is a cache, so no result may
+// depend on what it holds. For every benchgen profile and every
+// (block_words, num_threads) in {1,4}x{1,4}, one session diagnoses
+// signature logs of two MISR configurations alternately, first in one
+// order and then in the reverse one, rebinds to an X-carrying pattern set
+// (masked windows give each log a different pruned set, so the table
+// fills only partly) and back, and runs a batch mixing full and signature
+// logs. Every result must equal, field by field, the standalone engine's
+// (SignatureDiagnoser::diagnose, or Diagnoser for full logs, whose results
+// sequential diagnose() calls are pinned to above). Each query's table
+// hits plus fills must equal its candidates, and a query that fills
+// nothing must run no sweep.
+TEST(SessionDiffTableTest, CompactedResultsMatchStandaloneOnAllProfiles) {
+  const MisrConfig cfg_a{.width = 16, .window = 8};
+  const MisrConfig cfg_b{.width = 32, .window = 16};
+  for (const SynthProfile& profile : iscas89_profiles()) {
+    const Netlist nl = map_to_nand_nor_inv(make_iscas89_like(profile.name));
+    const auto faults = collapse_faults(nl);
+    const auto pats = random_patterns(nl, 48, 0xd1ff + profile.seed);
+    auto xpats = random_patterns(nl, 48, 0xd1ff0 + profile.seed);
+    Rng xr(profile.seed);
+    for (TestPattern& p : xpats) {
+      for (Logic& v : p.pi) {
+        if (xr.next_below(4) == 0) v = Logic::X;
+      }
+      for (Logic& v : p.ppi) {
+        if (xr.next_below(16) == 0) v = Logic::X;
+      }
+    }
+
+    // Logs of distinct faults that fail at least one window (or record a
+    // failure), and their standalone references.
+    SignatureDiagnoser one_shot_sig(nl, DiagnosisOptions{.num_threads = 0});
+    Diagnoser one_shot(nl, DiagnosisOptions{.num_threads = 0});
+    const std::size_t stride = faults.size() / 256 + 1;
+    std::size_t next = 7;
+    const auto pick_logs = [&](const MisrConfig& cfg,
+                               const std::vector<TestPattern>& p,
+                               std::size_t count) {
+      SignatureCapture cap(nl, cfg, 4);
+      std::vector<std::pair<SignatureLog, DiagnosisResult>> out;
+      for (; next < faults.size() && out.size() < count; next += stride) {
+        SignatureLog log = cap.inject(p, faults[next]);
+        if (log.num_failing_windows() == 0) continue;
+        DiagnosisResult ref = one_shot_sig.diagnose(p, faults, log);
+        out.emplace_back(std::move(log), std::move(ref));
+      }
+      return out;
+    };
+    const auto a = pick_logs(cfg_a, pats, 3);
+    const auto b = pick_logs(cfg_b, pats, 2);
+    // Fewest candidates first, so that later X logs need rows the first
+    // one did not fill.
+    auto x = pick_logs(cfg_a, xpats, 3);
+    std::sort(x.begin(), x.end(), [](const auto& l, const auto& r) {
+      return l.second.num_candidates < r.second.num_candidates;
+    });
+    ASSERT_EQ(a.size() + b.size() + x.size(), 8u) << profile.name;
+    ResponseCapture cap(nl, 4);
+    std::vector<std::pair<FailureLog, DiagnosisResult>> full;
+    for (; next < faults.size() && full.size() < 2; next += stride) {
+      FailureLog log = cap.inject(pats, faults[next]);
+      if (log.failures.empty()) continue;
+      DiagnosisResult ref = one_shot.diagnose(pats, faults, log);
+      full.emplace_back(std::move(log), std::move(ref));
+    }
+    ASSERT_EQ(full.size(), 2u) << profile.name;
+
+    std::size_t partial = 0;  // queries with both hits and fills
+    for (int words : {1, 4}) {
+      for (int threads : {1, 4}) {
+        FlowOptions opts;
+        opts.diag.block_words = words;
+        opts.diag.num_threads = threads;
+        ScanSession session(Netlist(nl), opts);
+        const std::string tag = profile.name + " W=" + std::to_string(words) +
+                                " T=" + std::to_string(threads);
+        const auto check = [&](const std::pair<SignatureLog, DiagnosisResult>&
+                                   entry,
+                               const std::string& what) {
+          const MetricsSnapshot before = session.metrics();
+          const DiagnosisResult res = session.diagnose(Evidence(entry.first));
+          const MetricsSnapshot after = session.metrics();
+          expect_same_fields(res, entry.second, tag + " " + what);
+          if (!kTelemetryEnabled) return;
+          const std::uint64_t hits =
+              after.counter(CounterId::kCompactDiffCacheHits) -
+              before.counter(CounterId::kCompactDiffCacheHits);
+          const std::uint64_t fills =
+              after.counter(CounterId::kCompactDiffCacheFills) -
+              before.counter(CounterId::kCompactDiffCacheFills);
+          EXPECT_EQ(hits + fills, res.num_candidates) << tag << " " << what;
+          if (fills == 0) {
+            EXPECT_EQ(res.stats.sweep_calls, 0u) << tag << " " << what;
+          }
+          if (hits != 0 && fills != 0) ++partial;
+        };
+
+        session.bind_patterns(pats);
+        check(a[0], "A0");
+        check(b[0], "B0");
+        check(a[1], "A1");
+        check(b[1], "B1");
+        check(a[2], "A2");
+        check(a[2], "A2 again");
+        check(b[1], "B1 again");
+        check(a[1], "A1 again");
+        check(b[0], "B0 again");
+        check(a[0], "A0 again");
+
+        session.bind_patterns(xpats);
+        check(x[0], "X0");
+        check(x[1], "X1");
+        check(x[2], "X2");
+        check(x[0], "X0 again");
+
+        session.bind_patterns(pats);
+        check(a[1], "A1 after rebind");
+        check(b[0], "B0 after rebind");
+
+        const std::vector<Evidence> batch_in = {
+            Evidence(full[0].first), Evidence(a[2].first),
+            Evidence(b[1].first), Evidence(full[1].first),
+            Evidence(a[0].first)};
+        const std::vector<DiagnosisResult> batch =
+            session.diagnose_batch(batch_in);
+        ASSERT_EQ(batch.size(), batch_in.size());
+        expect_same_result(batch[0], full[0].second, tag + " batch F0");
+        expect_same_fields(batch[1], a[2].second, tag + " batch A2");
+        expect_same_fields(batch[2], b[1].second, tag + " batch B1");
+        expect_same_result(batch[3], full[1].second, tag + " batch F1");
+        expect_same_fields(batch[4], a[0].second, tag + " batch A0");
+      }
+    }
+    if (kTelemetryEnabled) {
+      EXPECT_GT(partial, 0u) << profile.name;
+    }
   }
 }
 

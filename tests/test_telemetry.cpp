@@ -225,6 +225,9 @@ ConfigRun run_config(const Netlist& nl, const std::vector<TestPattern>& pats,
   ConfigRun out;
   out.full = session.diagnose(Evidence{session.inject(defect)});
   out.compact = session.diagnose(Evidence{session.inject_compacted(defect)});
+  // A second signature log reads the diff rows the first one filled.
+  const Fault defect2 = session.faults()[session.faults().size() / 2];
+  session.diagnose(Evidence{session.inject_compacted(defect2)});
   out.snap = session.metrics();
   return out;
 }
@@ -234,7 +237,8 @@ const CounterId kSemanticCounters[] = {
     CounterId::kDiagQueries,        CounterId::kDiagCandidates,
     CounterId::kDiagDropped,        CounterId::kDiagUnionFallbacks,
     CounterId::kDiagMultiplets,     CounterId::kCompactQueries,
-    CounterId::kCompactCandidates,  CounterId::kConeCacheHits,
+    CounterId::kCompactCandidates,  CounterId::kCompactDiffCacheHits,
+    CounterId::kCompactDiffCacheFills, CounterId::kConeCacheHits,
     CounterId::kConeCacheMisses,    CounterId::kGoodCacheBinds,
     CounterId::kXMaskBuilds,        CounterId::kSessionDiagnoseFull,
     CounterId::kSessionDiagnoseCompact, CounterId::kSessionBatches,
@@ -278,7 +282,11 @@ TEST(TelemetryDeterminismTest, CountersStableAcrossBlockWordsAndThreads) {
     }
   }
   EXPECT_EQ(runs[0].snap.counter(CounterId::kDiagQueries), 1u);
-  EXPECT_EQ(runs[0].snap.counter(CounterId::kCompactQueries), 1u);
+  EXPECT_EQ(runs[0].snap.counter(CounterId::kCompactQueries), 2u);
+  EXPECT_GT(runs[0].snap.counter(CounterId::kCompactDiffCacheHits), 0u);
+  EXPECT_EQ(runs[0].snap.counter(CounterId::kCompactDiffCacheHits) +
+                runs[0].snap.counter(CounterId::kCompactDiffCacheFills),
+            runs[0].snap.counter(CounterId::kCompactCandidates));
   EXPECT_EQ(runs[0].snap.counter(CounterId::kSessionPatternBinds), 1u);
 
   // Work counters: equal across thread counts at fixed block_words.
